@@ -103,10 +103,6 @@ func BenchmarkTable8VeteransFirst(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalRecheck regenerates the streaming-appends experiment:
-// incremental re-check vs full PLI rebuild on growing instances.
-func BenchmarkIncrementalRecheck(b *testing.B) { runRegistered(b, "incremental") }
-
 // BenchmarkTheorem1NullSets regenerates the §5 null-set comparison.
 func BenchmarkTheorem1NullSets(b *testing.B) { runRegistered(b, "theorem1") }
 

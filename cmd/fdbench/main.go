@@ -5,23 +5,20 @@
 //	fdbench -list
 //	fdbench -experiment table5 -sf 0.01
 //	fdbench -experiment all -scale 0.05
-//	fdbench -experiment repairscale -json . -cpuprofile cpu.out
+//	fdbench -experiment table5 -sf 0.1 -cpuprofile cpu.out
 //
 // Scale 1 / SF 1 approach the paper's sizes (the "1GB" TPC-H database is
 // SF 1); defaults keep every experiment in laptop range. See EXPERIMENTS.md
 // for recorded paper-vs-measured results.
 //
-// -json DIR additionally writes machine-readable results (BENCH_<id>.json)
-// for experiments that expose them, so the perf trajectory is tracked across
-// PRs. -cpuprofile / -memprofile write pprof profiles of the run.
+// -cpuprofile / -memprofile write pprof profiles of the run. Performance is
+// measured by benchmark/ (see benchmark/README.md), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 
@@ -43,10 +40,8 @@ func run(args []string) error {
 		scale       = fs.Float64("scale", 0, "dataset scale in (0,1]; 0 = default")
 		sf          = fs.Float64("sf", 0, "TPC-H scale factor; 0 = default, 1 = paper's 1GB")
 		seed        = fs.Int64("seed", 0, "generator seed; 0 = default")
-		rows        = fs.Int("rows", 0, "row count for row-parameterised experiments (lineitemscale); 0 = scaled default")
 		maxAdded    = fs.Int("max-added", 0, "repair search depth bound; 0 = experiment default")
 		parallelism = fs.Int("parallelism", 0, "repair search workers; 0 = GOMAXPROCS")
-		jsonDir     = fs.String("json", "", "directory for machine-readable BENCH_<id>.json results; empty disables")
 		cpuprofile  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprofile  = fs.String("memprofile", "", "write a pprof heap profile after the run to this file")
 	)
@@ -63,7 +58,6 @@ func run(args []string) error {
 		Scale:       *scale,
 		SF:          *sf,
 		Seed:        *seed,
-		Rows:        *rows,
 		MaxAdded:    *maxAdded,
 		Parallelism: *parallelism,
 	}
@@ -105,36 +99,9 @@ func run(args []string) error {
 		selected = []bench.Experiment{e}
 	}
 	for _, e := range selected {
-		// With -json, a RunJSON+Render experiment executes once and the
-		// printed table and the persisted file describe the same run.
-		v, err := bench.RunOne(e, cfg, os.Stdout, *jsonDir != "")
-		if err != nil {
+		if err := bench.RunOne(e, cfg, os.Stdout); err != nil {
 			return err
 		}
-		if *jsonDir != "" {
-			if err := writeJSONResult(e, v, *jsonDir); err != nil {
-				return err
-			}
-		}
 	}
-	return nil
-}
-
-// writeJSONResult persists an experiment's machine-readable result as
-// BENCH_<id>.json; experiments without a JSON form are noted and skipped.
-func writeJSONResult(e bench.Experiment, v any, dir string) error {
-	if v == nil {
-		fmt.Printf("(no JSON result for %s)\n", e.ID)
-		return nil
-	}
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return fmt.Errorf("%s: json result: %w", e.ID, err)
-	}
-	path := filepath.Join(dir, "BENCH_"+e.ID+".json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("%s: json result: %w", e.ID, err)
-	}
-	fmt.Println("wrote", path)
 	return nil
 }

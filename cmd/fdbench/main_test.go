@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -71,56 +70,23 @@ func TestBadFlag(t *testing.T) {
 	}
 }
 
-func TestJSONAndProfileFlags(t *testing.T) {
+func TestProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.out")
 	mem := filepath.Join(dir, "mem.out")
-	out, err := captureStdout(t, func() error {
+	_, err := captureStdout(t, func() error {
 		return run([]string{
-			"-experiment", "repairscale", "-scale", "0.002", "-seed", "3",
-			"-json", dir, "-cpuprofile", cpu, "-memprofile", mem,
+			"-experiment", "ablation-parallel", "-scale", "0.002", "-seed", "3",
+			"-cpuprofile", cpu, "-memprofile", mem,
 		})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "wrote "+filepath.Join(dir, "BENCH_repairscale.json")) {
-		t.Errorf("missing JSON write notice:\n%s", out)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_repairscale.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res struct {
-		Rows int `json:"rows"`
-		Runs []struct {
-			Workers   int  `json:"workers"`
-			Identical bool `json:"identical"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatalf("BENCH_repairscale.json malformed: %v", err)
-	}
-	if res.Rows < 1000 || len(res.Runs) == 0 || !res.Runs[0].Identical {
-		t.Fatalf("JSON result wrong: %+v", res)
-	}
 	for _, profile := range []string{cpu, mem} {
 		if st, err := os.Stat(profile); err != nil || st.Size() == 0 {
 			t.Errorf("profile %s missing or empty (err=%v)", profile, err)
 		}
-	}
-}
-
-func TestJSONSkipsExperimentsWithoutResult(t *testing.T) {
-	dir := t.TempDir()
-	out, err := captureStdout(t, func() error {
-		return run([]string{"-experiment", "table1", "-json", dir})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "(no JSON result for table1)") {
-		t.Errorf("missing skip notice:\n%s", out)
 	}
 }
 

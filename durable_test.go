@@ -2,8 +2,10 @@ package evolvefd_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -327,11 +329,25 @@ func TestDurableGroupCommitCrash(t *testing.T) {
 	r.Close()
 }
 
-// TestDurableSnapshotFallback corrupts the newest snapshot: recovery must
-// fall back to its predecessor, replay across the generation boundary to
-// the identical final state, and write a fresh checkpoint that supersedes
-// the damaged file for the next recovery.
+// TestDurableSnapshotFallback makes the newest snapshot unreadable — by a
+// flipped bit, or by a well-checksummed header of a format version the
+// decoder does not read: recovery must fall back to its predecessor, replay
+// across the generation boundary to the identical final state, and write a
+// fresh checkpoint that supersedes the damaged file for the next recovery.
 func TestDurableSnapshotFallback(t *testing.T) {
+	t.Run("bit flip", func(t *testing.T) {
+		testSnapshotFallback(t, func(data []byte) { data[len(data)/2] ^= 0xff })
+	})
+	t.Run("unsupported version", func(t *testing.T) {
+		testSnapshotFallback(t, func(data []byte) {
+			body := data[:len(data)-4]
+			body[len("EVFDSNP1")] = 2 // the version byte follows the magic
+			binary.LittleEndian.PutUint32(data[len(body):], crc32.ChecksumIEEE(body))
+		})
+	})
+}
+
+func testSnapshotFallback(t *testing.T, damage func(snapshot []byte)) {
 	base := filepath.Join(t.TempDir(), "data")
 	s, err := evolvefd.NewDurableSession(datasets.Places(), base, noFsync)
 	if err != nil {
@@ -358,7 +374,7 @@ func TestDurableSnapshotFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0xff
+	damage(data)
 	if err := os.WriteFile(snapPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

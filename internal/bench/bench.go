@@ -20,9 +20,6 @@ type Config struct {
 	// Seed drives every generator; runs are reproducible per (Scale, SF,
 	// Seed).
 	Seed int64
-	// Rows overrides the row count of row-parameterised experiments
-	// (lineitemscale); 0 keeps each experiment's scaled default.
-	Rows int
 	// MaxAdded bounds repair search depth where the experiment does not
 	// dictate it; 0 keeps each experiment's default.
 	MaxAdded int
@@ -48,9 +45,6 @@ func FromEnv() Config {
 	}
 	if v, err := strconv.ParseInt(os.Getenv("EVOLVEFD_SEED"), 10, 64); err == nil {
 		cfg.Seed = v
-	}
-	if v, err := strconv.Atoi(os.Getenv("EVOLVEFD_ROWS")); err == nil {
-		cfg.Rows = v
 	}
 	return cfg
 }
@@ -88,14 +82,6 @@ type Experiment struct {
 	Title string
 	// Run executes the experiment and writes its report to w.
 	Run func(cfg Config, w io.Writer) error
-	// RunJSON, when non-nil, executes the experiment and returns a
-	// machine-readable result (fdbench -json writes it to BENCH_<id>.json so
-	// the perf trajectory is tracked across PRs).
-	RunJSON func(cfg Config) (any, error)
-	// Render, when non-nil alongside RunJSON, writes the text report from a
-	// RunJSON result, so one execution serves both the table and the JSON
-	// file (the printed numbers and the persisted ones are the same run).
-	Render func(v any, w io.Writer) error
 }
 
 var registry = map[string]Experiment{}
@@ -124,32 +110,20 @@ func All() []Experiment {
 }
 
 // RunOne executes one experiment with the standard header and error
-// context, writing its report to w. With wantResult and an experiment that
-// exposes RunJSON+Render, the experiment executes exactly once: the report
-// is rendered from the returned machine-readable result, which is also
-// returned for the caller to persist (nil otherwise).
-func RunOne(e Experiment, cfg Config, w io.Writer, wantResult bool) (any, error) {
+// context, writing its report to w.
+func RunOne(e Experiment, cfg Config, w io.Writer) error {
 	fmt.Fprintf(w, "==== %s — %s ====\n", e.ID, e.Title)
-	var v any
-	var err error
-	if wantResult && e.RunJSON != nil && e.Render != nil {
-		if v, err = e.RunJSON(cfg); err == nil {
-			err = e.Render(v, w)
-		}
-	} else {
-		err = e.Run(cfg, w)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", e.ID, err)
+	if err := e.Run(cfg, w); err != nil {
+		return fmt.Errorf("bench: %s: %w", e.ID, err)
 	}
 	fmt.Fprintln(w)
-	return v, nil
+	return nil
 }
 
 // RunAll executes every registered experiment in ID order.
 func RunAll(cfg Config, w io.Writer) error {
 	for _, e := range All() {
-		if _, err := RunOne(e, cfg, w, false); err != nil {
+		if err := RunOne(e, cfg, w); err != nil {
 			return err
 		}
 	}

@@ -36,11 +36,16 @@ func randomSearchRelation(t *testing.T, rng *rand.Rand) *relation.Relation {
 	return buildRelation(t, cols, rows)
 }
 
+// plainCounter hides a counter's SearchCounter methods, so FindRepairs takes
+// the generic Count path — the reference the partition-reuse path is held to.
+type plainCounter struct{ pli.Counter }
+
 // TestQuickFindRepairsParallelismInvariance is the determinism property the
 // parallel frontier relies on: FindRepairs must return bit-identical results
 // (repairs, measures, discovery order, and search stats) for any Parallelism
-// and with the search-aware partition reuse on or off, across randomized
-// datasets and option mixes.
+// and with the search-aware partition reuse on (a SearchCounter) or off (the
+// same counter behind a plain pli.Counter), across randomized datasets and
+// option mixes.
 func TestQuickFindRepairsParallelismInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	maxG := 2
@@ -64,14 +69,16 @@ func TestQuickFindRepairsParallelismInvariance(t *testing.T) {
 		for oi, base := range optionMixes {
 			ref := base
 			ref.Parallelism = 1
-			ref.NoPartitionReuse = true
-			want := normalizeResult(FindRepairs(pli.NewPLICounter(r), fd, ref))
+			want := normalizeResult(FindRepairs(plainCounter{pli.NewPLICounter(r)}, fd, ref))
 			for _, workers := range []int{1, 2, 8} {
 				for _, noReuse := range []bool{false, true} {
 					opts := base
 					opts.Parallelism = workers
-					opts.NoPartitionReuse = noReuse
-					got := normalizeResult(FindRepairs(pli.NewPLICounter(r), fd, opts))
+					var counter pli.Counter = pli.NewPLICounter(r)
+					if noReuse {
+						counter = plainCounter{counter}
+					}
+					got := normalizeResult(FindRepairs(counter, fd, opts))
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("iter %d, options %d, workers %d, noReuse %v:\n got %+v\nwant %+v",
 							iter, oi, workers, noReuse, got, want)
@@ -94,7 +101,7 @@ func TestQuickParallelismInvarianceOnIncrementalCounter(t *testing.T) {
 		if Compute(ref, fd).Exact() {
 			continue
 		}
-		want := normalizeResult(FindRepairs(ref, fd, RepairOptions{Parallelism: 1, NoPartitionReuse: true}))
+		want := normalizeResult(FindRepairs(plainCounter{ref}, fd, RepairOptions{Parallelism: 1}))
 		for _, workers := range []int{2, 8} {
 			counter := pli.NewIncrementalCounter(r)
 			got := normalizeResult(FindRepairs(counter, fd, RepairOptions{Parallelism: workers}))

@@ -86,12 +86,6 @@ type RepairOptions struct {
 	// at every setting: the frontier is expanded in deterministic batches
 	// and children are re-sorted by the queue's total order.
 	Parallelism int
-	// NoPartitionReuse disables the search-aware fast path that derives each
-	// child partition from its parent's materialised partition (one stripped
-	// product). Candidate counts then go through the counter's generic cache
-	// probes, as the seed implementation did. Results are identical either
-	// way; the knob exists for ablations and baseline measurements.
-	NoPartitionReuse bool
 	// PruneNonMinimal drops repairs that are supersets of other found
 	// repairs from the result. The paper's Algorithm 3 keeps them (they are
 	// reachable through paths whose prefixes are non-exact); pruning is an
@@ -217,10 +211,10 @@ type expandTask struct {
 func FindRepairs(counter pli.Counter, fd FD, opts RepairOptions) RepairResult {
 	start := time.Now()
 	workers := opts.workerCount()
-	var sc pli.SearchCounter
-	if !opts.NoPartitionReuse {
-		sc, _ = counter.(pli.SearchCounter)
-	}
+	// A SearchCounter lets each child derive from its parent's materialised
+	// partition (one stripped product); any other Counter takes the generic
+	// Count path. Results are identical either way.
+	sc, _ := counter.(pli.SearchCounter)
 
 	res := RepairResult{FD: fd, Initial: computeInitial(counter, sc, fd, workers)}
 	if res.Initial.Exact() {

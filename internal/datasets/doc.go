@@ -9,7 +9,6 @@
 //
 // Synthesize builds schemas from ColumnSpec lists with planted exact and
 // approximate FDs (DerivedFrom columns are functions of other columns), so
-// experiments know ground truth: the incremental, churn and discoverchurn
-// experiments in internal/bench all stream mutations drawn from these
-// distributions. TPC-H generation (§6.1) lives in internal/tpch.
+// experiments know ground truth. TPC-H generation (§6.1) lives in
+// internal/tpch.
 package datasets

@@ -21,32 +21,6 @@ func Entropy(c *cluster.Clustering) float64 {
 	return h
 }
 
-// OfClassSizes returns H(C) from a stripped class-size list: sizes holds the
-// cardinalities of the classes with ≥2 rows and numRows the total row count,
-// so numRows − Σ sizes singleton classes are implied. This is the shape
-// Partition.ProductStrippedSizes emits, letting measures over a product be
-// scored without materialising its row sets. Singleton classes contribute
-// identical terms, so they are folded into one multiplied term rather than
-// summed individually.
-func OfClassSizes(sizes []int32, numRows int) float64 {
-	n := float64(numRows)
-	if numRows == 0 {
-		return 0
-	}
-	h := 0.0
-	stripped := 0
-	for _, s := range sizes {
-		p := float64(s) / n
-		h -= p * math.Log2(p)
-		stripped += int(s)
-	}
-	if singletons := numRows - stripped; singletons > 0 {
-		p := 1 / n
-		h -= float64(singletons) * p * math.Log2(p)
-	}
-	return h
-}
-
 // ConditionalEntropy returns H(C|C′) = −Σ_{k,k′} P(k,k′)·log₂ P(k|k′):
 // the remaining uncertainty about C's class once C′'s class is known. It is
 // zero exactly when C′ refines C (every class of C′ inside one class of C).

@@ -107,37 +107,6 @@ func TestConditionalEntropyKnownValue(t *testing.T) {
 	}
 }
 
-// TestQuickOfClassSizesMatchesEntropy: the stripped-size formulation agrees
-// with the cluster-based entropy on random clusterings. Summation order
-// differs (singletons folded into one term), so compare with a tolerance.
-func TestQuickOfClassSizesMatchesEntropy(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for iter := 0; iter < 80; iter++ {
-		r := randomRelation(rng, 1+rng.Intn(60), 2, 2+rng.Intn(8))
-		c := cluster.New(r, bitset.New(rng.Intn(2)))
-		var sizes []int32
-		for _, class := range c.Classes() {
-			if class.Size() >= 2 {
-				sizes = append(sizes, int32(class.Size()))
-			}
-		}
-		got, want := OfClassSizes(sizes, c.NumRows()), Entropy(c)
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("iter %d: OfClassSizes = %v, Entropy = %v", iter, got, want)
-		}
-	}
-	// Degenerate shapes.
-	if got := OfClassSizes(nil, 0); got != 0 {
-		t.Fatalf("empty: %v, want 0", got)
-	}
-	if got := OfClassSizes(nil, 4); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("all singletons: %v, want 2", got)
-	}
-	if got := OfClassSizes([]int32{3}, 3); got != 0 {
-		t.Fatalf("single class: %v, want 0", got)
-	}
-}
-
 // TestQuickVIIsAMetric checks symmetry, non-negativity, identity and the
 // triangle inequality of VI on random clusterings ([19] proves VI is a true
 // metric on partitions).

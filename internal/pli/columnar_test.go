@@ -23,10 +23,9 @@ func randomSet(rng *rand.Rand, cols int) bitset.Set {
 // interleavings through an IncrementalCounter and checks, at every step
 // boundary, that the flat arena+bitmap partitions (both the tracked-index
 // path and the scratch FromColumn/FromSet builds) induce exactly the
-// clusterings the legacy one-slice-per-class layout builds from the same
-// relation state. This is the property pinning the columnar refactor: no
-// mutation sequence, tombstone pattern, or epoch boundary may change any
-// clustering.
+// clusterings the map oracle (oracle_test.go) reads off the same relation
+// state. This is the property pinning the columnar layout: no mutation
+// sequence, tombstone pattern, or epoch boundary may change any clustering.
 func TestQuickFlatLegacyDMLDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 40; iter++ {
@@ -71,17 +70,16 @@ func TestQuickFlatLegacyDMLDifferential(t *testing.T) {
 				counter.Compact()
 			}
 			for _, x := range tracked {
-				legacy := LegacyFromSet(r, x)
-				if flat := counter.Partition(x); !legacy.EqualsFlat(flat) {
-					t.Fatalf("iter %d step %d: tracked Partition(%v) diverged from legacy", iter, step, x)
+				if !matchesOracle(r, x, counter.Partition(x)) {
+					t.Fatalf("iter %d step %d: tracked Partition(%v) diverged from the oracle", iter, step, x)
 				}
-				if flat := FromSet(r, x); !legacy.EqualsFlat(flat) {
-					t.Fatalf("iter %d step %d: FromSet(%v) diverged from legacy", iter, step, x)
+				if !matchesOracle(r, x, FromSet(r, x)) {
+					t.Fatalf("iter %d step %d: FromSet(%v) diverged from the oracle", iter, step, x)
 				}
 			}
 			col := rng.Intn(cols)
-			if !LegacyFromColumn(r, col).EqualsFlat(FromColumn(r, col)) {
-				t.Fatalf("iter %d step %d: FromColumn(%d) diverged from legacy", iter, step, col)
+			if !matchesOracle(r, bitset.New(col), FromColumn(r, col)) {
+				t.Fatalf("iter %d step %d: FromColumn(%d) diverged from the oracle", iter, step, col)
 			}
 		}
 	}

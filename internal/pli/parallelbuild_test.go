@@ -75,8 +75,8 @@ func TestShardedBuildsBitIdentical(t *testing.T) {
 		codes := r.ColumnCodes(col)
 		groups := r.DictLen(col) + 1
 		seq := fromColumnSeq(r, codes, groups)
-		if !LegacyFromColumn(r, col).EqualsFlat(seq) {
-			t.Fatalf("col %d: sequential build diverged from legacy", col)
+		if !matchesOracle(r, bitset.New(col), seq) {
+			t.Fatalf("col %d: sequential build diverged from the oracle", col)
 		}
 		for _, workers := range []int{2, 3, 8, 64} {
 			rs := fromColumnRowSharded(r, codes, groups, workers)
@@ -110,15 +110,11 @@ func TestFromColumnParallelDispatch(t *testing.T) {
 		t.Fatalf("universal partition: %d rows in %d classes, want %d in 1",
 			u.NumRows(), u.NumClasses(), r.LiveRows())
 	}
-	if u.NumDenseClasses() != 1 || u.MemBytes() <= 0 {
+	if len(u.bitLens) != 1 || u.MemBytes() <= 0 {
 		t.Fatalf("universal partition of %d live rows should be one dense class", r.LiveRows())
 	}
-	leg := LegacyFromSet(r, bitset.Set{})
-	if leg.NumRows() != u.NumRows() || leg.NumClasses() != u.NumClasses() {
-		t.Fatal("legacy universal partition disagrees with flat")
-	}
-	if len(leg.Classes()) != 1 || leg.MemBytes() <= 0 {
-		t.Fatal("legacy universal partition should store one class")
+	if !matchesOracle(r, bitset.Set{}, u) {
+		t.Fatal("universal partition disagrees with the oracle")
 	}
 }
 
@@ -172,8 +168,8 @@ func TestExportImportRoundTripInPackage(t *testing.T) {
 		if got, want := c2.Count(x), c.Count(x); got != want {
 			t.Fatalf("imported Count(%v) = %d, want %d", x, got, want)
 		}
-		if !LegacyFromSet(r, x).EqualsFlat(c2.Partition(x)) {
-			t.Fatalf("imported Partition(%v) diverged from legacy", x)
+		if !matchesOracle(r, x, c2.Partition(x)) {
+			t.Fatalf("imported Partition(%v) diverged from the oracle", x)
 		}
 	}
 

@@ -157,9 +157,6 @@ func (p *Partition) NumClasses() int {
 // classes.
 func (p *Partition) NumStrippedClasses() int { return p.numSparse() + len(p.bitLens) }
 
-// NumDenseClasses returns how many stored classes are bitmap-backed.
-func (p *Partition) NumDenseClasses() int { return len(p.bitLens) }
-
 // MemBytes returns the partition's retained storage in bytes: member arena,
 // offset table, bitmap words and bitmap lengths. Slice headers are excluded —
 // there is a constant number of them, which is the point of the layout.

@@ -3,7 +3,6 @@ package pli
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
 // This file implements the stripped-product kernels. Every product walks q's
@@ -20,25 +19,12 @@ import (
 // exists in a materialising and a count-only form; the count-only form never
 // writes members, and for dense×dense it is pure popcount.
 
-// wordKernelsOff disables the dense-class word kernels, forcing every class
-// through the probe-scatter path (dense q classes decoded to members first).
-// Ablation and differential testing only — results are identical either way.
-var wordKernelsOff atomic.Bool
-
-// SetWordKernels toggles the dense word kernels (AND/popcount and bitmap
-// membership) and returns the previous setting. The probe-scatter fallback
-// computes identical products; the knob exists so benchmarks can attribute
-// time to the kernel dispatch. Not intended for concurrent toggling with
-// in-flight products.
-func SetWordKernels(enabled bool) (prev bool) {
-	return !wordKernelsOff.Swap(!enabled)
-}
-
-// wordEligible reports whether the word kernels may run for p·q: kernels
-// enabled and both partitions over the same physical row range (equal extents
-// imply equal words-per-class, so bitmaps are word-aligned with each other).
+// wordEligible reports whether the word kernels may run for p·q: both
+// partitions over the same physical row range (equal extents imply equal
+// words-per-class, so bitmaps are word-aligned with each other). Otherwise
+// dense q classes are decoded to members and take the probe-scatter path.
 func (p *Partition) wordEligible(q *Partition) bool {
-	return !wordKernelsOff.Load() && p.extent == q.extent
+	return p.extent == q.extent
 }
 
 // needsProbe reports whether the product p·q (word kernels as given) must
@@ -193,26 +179,15 @@ func (p *Partition) emitDense(q *Partition, d int, s *productScratch, out *Parti
 // repair search materialises a child partition only when the node is actually
 // expanded. For all-dense operands the count is pure AND + popcount and
 // allocates nothing; scratch (nil for pooled) is only touched when q has
-// sparse classes or the word kernels are off.
+// sparse classes or the operands are not word-aligned.
 func (p *Partition) ProductCount(q *Partition, scratch *productScratch) int {
-	return p.numRows - p.productMerged(q, scratch, nil)
-}
-
-// ProductStrippedSizes returns the sizes of the stored (≥ 2 row) classes of
-// p.Product(q) in deterministic kernel-dispatch order, without materialising
-// members. Entropy-style measures need exactly this size distribution; tests
-// compare it (as a multiset) against the materialised product.
-func (p *Partition) ProductStrippedSizes(q *Partition, scratch *productScratch) []int32 {
-	var sizes []int32
-	p.productMerged(q, scratch, func(n int32) { sizes = append(sizes, n) })
-	return sizes
+	return p.numRows - p.productMerged(q, scratch)
 }
 
 // productMerged runs the count-only kernels over all of q's classes and
 // returns Σ(|c|−1) across product classes of size ≥ 2 (the stripped "merged
-// rows" total NumClasses subtracts). sink, when non-nil, observes each stored
-// class size.
-func (p *Partition) productMerged(q *Partition, scratch *productScratch, sink func(int32)) int {
+// rows" total NumClasses subtracts).
+func (p *Partition) productMerged(q *Partition, scratch *productScratch) int {
 	nq := q.NumStrippedClasses()
 	if nq == 0 || p.NumStrippedClasses() == 0 {
 		return 0
@@ -229,7 +204,7 @@ func (p *Partition) productMerged(q *Partition, scratch *productScratch, sink fu
 		p.fillProbe(scratch.probe)
 		scratch.ensureCounts(p.NumStrippedClasses())
 	}
-	merged := p.countRange(q, scratch, 0, nq, word, sink)
+	merged := p.countRange(q, scratch, 0, nq, word)
 	if probe {
 		p.clearProbe(scratch.probe)
 	}
@@ -241,26 +216,26 @@ func (p *Partition) productMerged(q *Partition, scratch *productScratch, sink fu
 
 // countRange is productRange's count-only twin over q's canonical classes
 // [lo, hi).
-func (p *Partition) countRange(q *Partition, s *productScratch, lo, hi int, word bool, sink func(int32)) int {
+func (p *Partition) countRange(q *Partition, s *productScratch, lo, hi int, word bool) int {
 	ns := q.numSparse()
 	merged := 0
 	for i := lo; i < hi; i++ {
 		if i < ns {
-			merged += p.countProbe(q.arena[q.offs[i]:q.offs[i+1]], s, sink)
+			merged += p.countProbe(q.arena[q.offs[i]:q.offs[i+1]], s)
 			continue
 		}
 		if !word {
-			merged += p.countProbe(q.decodeDense(i-ns, s), s, sink)
+			merged += p.countProbe(q.decodeDense(i-ns, s), s)
 			continue
 		}
-		merged += p.countDense(q, i-ns, sink)
+		merged += p.countDense(q, i-ns)
 	}
 	return merged
 }
 
 // countProbe tallies intersection sizes of one q class through the probe
 // table, without recording members.
-func (p *Partition) countProbe(members []int32, s *productScratch, sink func(int32)) int {
+func (p *Partition) countProbe(members []int32, s *productScratch) int {
 	probe, counts := s.probe, s.counts
 	touched := s.touched[:0]
 	for _, row := range members {
@@ -275,9 +250,6 @@ func (p *Partition) countProbe(members []int32, s *productScratch, sink func(int
 	for _, ci := range touched {
 		if n := counts[ci]; n >= 2 {
 			merged += int(n) - 1
-			if sink != nil {
-				sink(n)
-			}
 		}
 		counts[ci] = 0
 	}
@@ -288,7 +260,7 @@ func (p *Partition) countProbe(members []int32, s *productScratch, sink func(int
 // countDense intersects dense q class d with every p class word-parallel:
 // popcount of ANDed bitmaps, membership tests over the member arena. Pure
 // reads — no scratch, no writes, no allocation.
-func (p *Partition) countDense(q *Partition, d int, sink func(int32)) int {
+func (p *Partition) countDense(q *Partition, d int) int {
 	qw := q.denseWords(d)
 	merged := 0
 	for pd := range p.bitLens {
@@ -299,9 +271,6 @@ func (p *Partition) countDense(q *Partition, d int, sink func(int32)) int {
 		}
 		if n >= 2 {
 			merged += int(n) - 1
-			if sink != nil {
-				sink(n)
-			}
 		}
 	}
 	for i, nsp := 0, p.numSparse(); i < nsp; i++ {
@@ -311,9 +280,6 @@ func (p *Partition) countDense(q *Partition, d int, sink func(int32)) int {
 		}
 		if n >= 2 {
 			merged += int(n) - 1
-			if sink != nil {
-				sink(n)
-			}
 		}
 	}
 	return merged

@@ -2,35 +2,12 @@ package pli
 
 import (
 	"math/rand"
-	"sort"
+	"reflect"
 	"testing"
 
+	"github.com/evolvefd/evolvefd/internal/bitset"
 	"github.com/evolvefd/evolvefd/internal/relation"
 )
-
-// storedSizes returns the sizes of the stored (≥ 2 row) classes, sorted, so
-// size distributions compare as multisets.
-func storedSizes(p *Partition) []int32 {
-	var sizes []int32
-	p.ForEachClass(func(members []int32) bool {
-		sizes = append(sizes, int32(len(members)))
-		return true
-	})
-	sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
-	return sizes
-}
-
-func sizesEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // sameStorage compares two partitions field by field — arena, offset table,
 // bitmap words, bitmap lengths — the "bit-identical" contract ProductParallel
@@ -112,9 +89,8 @@ func mutate(t *testing.T, rng *rand.Rand, r *relation.Relation, domain int) {
 // TestQuickProductCountDifferential drives random DML + Compact interleavings
 // and checks, at every step boundary, that the count-only kernels agree with
 // the materialised product: ProductCount equals NumClasses of the built
-// partition, ProductStrippedSizes matches its class-size multiset, and the
-// probe-scatter fallback (word kernels ablated) builds the identical
-// clustering and counts.
+// partition, and the built partition is exactly the map oracle's clustering
+// on X∪Y.
 func TestQuickProductCountDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for iter := 0; iter < 30; iter++ {
@@ -130,28 +106,11 @@ func TestQuickProductCountDifferential(t *testing.T) {
 				t.Fatalf("iter %d step %d: ProductCount(%v·%v) = %d, product has %d classes",
 					iter, step, x, y, got, want)
 			}
-			if got, want := px.ProductStrippedSizes(py, nil), storedSizes(built); !sizesEqual(sortedSizes(got), want) {
-				t.Fatalf("iter %d step %d: stripped sizes %v, product has %v", iter, step, got, want)
-			}
-			// Ablated kernels must yield the same clustering and count.
-			prev := SetWordKernels(false)
-			probed := px.Product(py, nil)
-			count := px.ProductCount(py, nil)
-			SetWordKernels(prev)
-			if !built.EqualPartition(probed) {
-				t.Fatalf("iter %d step %d: probe-fallback product diverged from word-kernel product", iter, step)
-			}
-			if count != built.NumClasses() {
-				t.Fatalf("iter %d step %d: probe-fallback count %d vs %d", iter, step, count, built.NumClasses())
+			if !matchesOracle(r, x.Union(y), built) {
+				t.Fatalf("iter %d step %d: Product(%v·%v) diverged from the oracle", iter, step, x, y)
 			}
 		}
 	}
-}
-
-func sortedSizes(sizes []int32) []int32 {
-	out := append([]int32(nil), sizes...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // mixedRelation builds a relation whose columns induce dense bitmaps (tiny
@@ -190,7 +149,9 @@ func mixedRelation(t *testing.T, rng *rand.Rand, rows int, withTombstones bool) 
 // TestProductParallelBitIdentical pins ProductParallel's storage contract: at
 // every worker count the arena, offset table, bitmap words and bitmap lengths
 // are exactly the serial product's, across dense×dense, sparse×sparse and
-// mixed operands, with and without tombstones.
+// mixed operands, with and without tombstones — and that serial product (the
+// word kernels run here; the quick differential's relations are too small for
+// bitmaps) is exactly the map oracle's clustering.
 func TestProductParallelBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-relation product matrix")
@@ -203,16 +164,19 @@ func TestProductParallelBitIdentical(t *testing.T) {
 		for c := range parts {
 			parts[c] = FromColumn(r, c)
 		}
-		if !parts[0].AllDense() || parts[0].NumDenseClasses() == 0 {
+		if !parts[0].AllDense() || len(parts[0].bitLens) == 0 {
 			t.Fatalf("dense1 not bitmap-backed; cut tuning changed")
 		}
-		if parts[2].NumDenseClasses() != 0 {
+		if len(parts[2].bitLens) != 0 {
 			t.Fatalf("sparse1 produced dense classes; cut tuning changed")
 		}
 		cases := [][2]int{{0, 1}, {2, 3}, {0, 2}, {2, 0}, {4, 0}, {4, 2}}
 		for _, pq := range cases {
 			p, q := parts[pq[0]], parts[pq[1]]
 			want := p.Product(q, nil)
+			if !matchesOracle(r, bitset.New(pq[0], pq[1]), want) {
+				t.Fatalf("%v: serial product diverged from the oracle", pq)
+			}
 			for _, workers := range []int{1, 2, 3, 5, 8} {
 				got := p.ProductParallel(q, workers)
 				sameStorage(t, r.Name()+" "+caseName(pq, workers, tombstones), want, got)
@@ -240,8 +204,8 @@ func TestProductCountDenseZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	r := randomRelation(rng, 100_000, 2, 3)
 	p, q := FromColumn(r, 0), FromColumn(r, 1)
-	if !p.AllDense() || !q.AllDense() || p.NumDenseClasses() == 0 {
-		t.Fatalf("operands not all-dense (p: %d dense / %d stored)", p.NumDenseClasses(), p.NumStrippedClasses())
+	if !p.AllDense() || !q.AllDense() || len(p.bitLens) == 0 {
+		t.Fatalf("operands not all-dense (p: %d dense / %d stored)", len(p.bitLens), p.NumStrippedClasses())
 	}
 	want := p.Product(q, nil).NumClasses()
 	allocs := testing.AllocsPerRun(100, func() {
@@ -251,5 +215,32 @@ func TestProductCountDenseZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("dense×dense ProductCount allocates %.0f objects/run, want 0", allocs)
+	}
+}
+
+// TestProductMixedExtentsFallback covers the one dispatch arm the word kernels
+// cannot serve: operands built at different extents are not word-aligned, so
+// q's dense classes are decoded and probe-scattered. Rows q never saw stay
+// singletons, so the stored classes are exactly those of the product taken
+// before the append.
+func TestProductMixedExtentsFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	r := randomRelation(rng, 2000, 2, 3)
+	p0, q := FromColumn(r, 0), FromColumn(r, 1)
+	if len(q.bitLens) == 0 {
+		t.Fatal("q has no dense classes; cut tuning changed")
+	}
+	want := p0.Product(q, nil)
+	const appended = 10
+	for i := 0; i < appended; i++ {
+		r.MustAppend(relation.String("A"), relation.String("B"))
+	}
+	p := FromColumn(r, 0)
+	got := p.Product(q, nil)
+	if !reflect.DeepEqual(got.sortedClasses(), want.sortedClasses()) {
+		t.Fatal("mixed-extent product diverged from the pre-append product")
+	}
+	if n := p.ProductCount(q, nil); n != want.NumClasses()+appended {
+		t.Fatalf("mixed-extent ProductCount = %d, want %d", n, want.NumClasses()+appended)
 	}
 }

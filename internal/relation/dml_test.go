@@ -23,9 +23,8 @@ func TestDeleteTombstones(t *testing.T) {
 	if err := r.Delete(1); err != nil {
 		t.Fatal(err)
 	}
-	if r.NumRows() != 3 || r.LiveRows() != 2 || r.NumDeleted() != 1 {
-		t.Fatalf("counts after delete: physical %d live %d deleted %d",
-			r.NumRows(), r.LiveRows(), r.NumDeleted())
+	if r.NumRows() != 3 || r.LiveRows() != 2 {
+		t.Fatalf("counts after delete: physical %d live %d", r.NumRows(), r.LiveRows())
 	}
 	if !r.IsDeleted(1) || r.IsDeleted(0) || r.IsDeleted(2) {
 		t.Fatal("tombstone marks wrong rows")
@@ -49,13 +48,13 @@ func TestDeleteValidationIsAtomic(t *testing.T) {
 	if err := r.Delete(0, 99); err == nil {
 		t.Fatal("out-of-range delete must fail")
 	}
-	if r.NumDeleted() != 0 || r.IsDeleted(0) {
+	if r.HasTombstones() || r.IsDeleted(0) {
 		t.Fatal("failed batch left partial tombstones")
 	}
 	if err := r.Delete(0, 0); err == nil {
 		t.Fatal("duplicate row in one batch must fail")
 	}
-	if r.NumDeleted() != 0 {
+	if r.HasTombstones() {
 		t.Fatal("failed duplicate batch left tombstones")
 	}
 	if err := r.Delete(2); err != nil {

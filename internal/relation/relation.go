@@ -105,9 +105,6 @@ func (r *Relation) NumRows() int { return r.rows }
 // cardinality every projection count and FD measure is defined over.
 func (r *Relation) LiveRows() int { return r.rows - r.deleted }
 
-// NumDeleted returns how many rows are tombstoned.
-func (r *Relation) NumDeleted() int { return r.deleted }
-
 // HasTombstones reports whether any row has been deleted.
 func (r *Relation) HasTombstones() bool { return r.deleted > 0 }
 

@@ -180,6 +180,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	for i, cells := range req.Rows {
 		if err := t.s.AppendStrings(cells...); err != nil {
+			if i > 0 {
+				t.publish() // rows 0..i-1 were applied and logged
+			}
 			s.writeError(w, fmt.Errorf("row %d: %w", i, err))
 			return
 		}
@@ -218,6 +221,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	for i, u := range req.Updates {
 		if err := t.s.UpdateStrings(u.Row, u.Cells...); err != nil {
+			if i > 0 {
+				t.publish() // updates 0..i-1 were applied and logged
+			}
 			s.writeError(w, fmt.Errorf("update %d: %w", i, err))
 			return
 		}

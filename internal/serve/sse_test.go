@@ -58,14 +58,17 @@ func nextEvent(t *testing.T, events <-chan sseEvent) sseEvent {
 // TestFeedSSE subscribes to a tenant's advisor feed and replays a mutation
 // sequence whose expected events a library twin computes: every batch that
 // produces a non-empty Suggestions diff must arrive as SSE "suggestion"
-// events, in checkpoint order, with the checkpoints strictly increasing.
+// events, in checkpoint order, with the checkpoints strictly increasing. A
+// batch that fails midway has still applied (and logged) its prefix: the
+// events that prefix produced must arrive under the next checkpoint, not wait
+// for some later successful mutation.
 func TestFeedSSE(t *testing.T) {
 	ts, _ := newTestServer(t, RegistryOptions{})
 	client := ts.Client()
 	base := ts.URL + "/v1/feedy"
 
 	const csv = "A,B:int,C,D\nx,1,p,u\ny,2,q,v\n"
-	fds := []FDDef{{Label: "F1", Spec: "A -> C"}}
+	fds := []FDDef{{Label: "F1", Spec: "A -> C"}, {Label: "F2", Spec: "C -> D"}, {Label: "F3", Spec: "B -> D"}}
 	mustReq(t, client, "POST", base, jsonBody(t, CreateRequest{CSV: csv, FDs: fds}), http.StatusCreated)
 
 	rel, err := evolvefd.OpenCSVReader("feedy", strings.NewReader(csv), evolvefd.CSVOptions{InferKinds: true})
@@ -74,7 +77,9 @@ func TestFeedSSE(t *testing.T) {
 	}
 	twin := evolvefd.NewSession(rel)
 	defer twin.Close()
-	twin.MustDefine("F1", "A -> C")
+	for _, fd := range fds {
+		twin.MustDefine(fd.Label, fd.Spec)
+	}
 
 	// Seed both advisors' baselines while F1 still holds: the first
 	// Suggestions call reports nothing, so without this the feed would see
@@ -117,12 +122,23 @@ func TestFeedSSE(t *testing.T) {
 		t.Fatalf("hello = %+v, want tenant feedy generation %d", helloBody, twin.Generation())
 	}
 
-	// Mutation batches; the twin computes the expected per-batch diff.
-	batches := [][][]string{
-		{{"x", "3", "r", "w"}}, // breaks F1: A=x now maps to both p and r
-		{{"z", "4", "s", "w"}}, // new A value, F1 stays broken (no new diff for it)
-		{{"y", "2", "q", "v"}}, // duplicate row
-		{{"x", "5", "p", "u"}}, // another x→p witness
+	// Mutation batches; the twin computes the expected per-batch diff. A
+	// batch with a non-200 status fails at its last entry, after the entries
+	// before it were applied.
+	batches := []struct {
+		rows    [][]string
+		updates []RowUpdate
+		status  int
+	}{
+		{rows: [][]string{{"x", "3", "r", "w"}}, status: http.StatusOK}, // breaks F1: A=x now maps to both p and r
+		{rows: [][]string{{"z", "4", "s", "w"}}, status: http.StatusOK}, // new A value, F1 stays broken (no new diff for it)
+		{rows: [][]string{{"y", "2", "q", "v"}}, status: http.StatusOK}, // duplicate row
+		{rows: [][]string{{"x", "5", "p", "u"}}, status: http.StatusOK}, // another x→p witness
+		// Row 0 breaks F2 (C=s now maps to both w and t), row 1 has the wrong arity.
+		{rows: [][]string{{"z", "6", "s", "t"}, {"short"}}, status: http.StatusBadRequest},
+		// Update 0 breaks F3 (B=2 now maps to both v and zz), update 1 names no row.
+		{updates: []RowUpdate{{Row: 4, Cells: []string{"y", "2", "q", "zz"}}, {Row: 999, Cells: []string{"y", "2", "q", "v"}}},
+			status: http.StatusNotFound},
 	}
 	type expected struct {
 		checkpoint uint64
@@ -130,12 +146,25 @@ func TestFeedSSE(t *testing.T) {
 	}
 	var want []expected
 	var checkpoint uint64
-	for _, rows := range batches {
-		mustReq(t, client, "POST", base+"/append", jsonBody(t, AppendRequest{Rows: rows}), http.StatusOK)
-		for _, cells := range rows {
-			if err := twin.AppendStrings(cells...); err != nil {
-				t.Fatalf("twin append: %v", err)
+	for bi, batch := range batches {
+		if batch.updates != nil {
+			mustReq(t, client, "POST", base+"/update", jsonBody(t, UpdateRequest{Updates: batch.updates}), batch.status)
+		} else {
+			mustReq(t, client, "POST", base+"/append", jsonBody(t, AppendRequest{Rows: batch.rows}), batch.status)
+		}
+		var twinErr error
+		for _, cells := range batch.rows {
+			if twinErr = twin.AppendStrings(cells...); twinErr != nil {
+				break
 			}
+		}
+		for _, u := range batch.updates {
+			if twinErr = twin.UpdateStrings(u.Row, u.Cells...); twinErr != nil {
+				break
+			}
+		}
+		if (twinErr == nil) != (batch.status == http.StatusOK) {
+			t.Fatalf("batch %d: twin error %v, server status %d", bi, twinErr, batch.status)
 		}
 		suggestions, err := twin.Suggestions()
 		if err != nil {
@@ -157,7 +186,7 @@ func TestFeedSSE(t *testing.T) {
 		t.Fatalf("workload produced no advisor diffs; the test scenario is broken")
 	}
 
-	sawBroken := false
+	broken := map[string]bool{}
 	var last uint64
 	for _, exp := range want {
 		for _, wantEv := range exp.events {
@@ -177,11 +206,13 @@ func TestFeedSSE(t *testing.T) {
 			}
 			last = got.Checkpoint
 			if got.Kind == "broken" {
-				sawBroken = true
+				broken[got.Label] = true
 			}
 		}
 	}
-	if !sawBroken {
-		t.Fatalf("no broken-FD event arrived; scenario should break F1")
+	for _, fd := range fds {
+		if !broken[fd.Label] {
+			t.Fatalf("no broken event for %s arrived; the scenario should break it", fd.Label)
+		}
 	}
 }

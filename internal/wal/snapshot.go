@@ -10,16 +10,14 @@ import (
 	"github.com/evolvefd/evolvefd/internal/relation"
 )
 
-// snapMagic opens every snapshot file; snapVersion names the layout written
-// today. Version 2 added the tracked-index dumps as interleaved
-// size/member cluster lists; version 3 stores each index columnar — a size
-// table followed by one flat member arena, matching pli.IndexDump's layout
-// so the encoder dumps the arenas directly and the decoder fills one
-// allocation with a single fixed-width sweep. Decoding accepts both.
+// snapMagic opens every snapshot file; snapVersion names the one layout
+// written and read. It stores each tracked index columnar — a size table
+// followed by one flat member arena, matching pli.IndexDump's layout so the
+// encoder dumps the arenas directly and the decoder fills one allocation with
+// a single fixed-width sweep. Any other version is refused.
 const (
-	snapMagic     = "EVFDSNP1"
-	snapVersion   = 3
-	snapVersionV2 = 2
+	snapMagic   = "EVFDSNP1"
+	snapVersion = 3
 )
 
 // Snapshot is the full durable state of a session at one epoch boundary:
@@ -189,7 +187,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	}
 	r := &reader{data: body, off: len(snapMagic)}
 	v := r.byte()
-	if r.err == nil && v != snapVersion && v != snapVersionV2 {
+	if r.err == nil && v != snapVersion {
 		return nil, fmt.Errorf("wal: unsupported snapshot version %d", v)
 	}
 	snap := &Snapshot{}
@@ -270,33 +268,8 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 			break
 		}
 		d.Offsets = make([]int32, 1, nclusters+1)
-		if v == snapVersionV2 {
-			// v2 interleaves each cluster's size with its members; reassemble
-			// the flat arena cluster by cluster.
-			d.Members = make([]int32, 0, total)
-			for j := 0; j < nclusters && r.err == nil; j++ {
-				n := r.count("cluster size", uint64(total-len(d.Members)))
-				if r.err == nil && len(body)-r.off < 4*n {
-					r.fail("cluster of %d rows overruns the snapshot", n)
-				}
-				if r.err != nil {
-					break
-				}
-				off := r.off
-				for k := 0; k < n; k++ {
-					d.Members = append(d.Members, int32(binary.LittleEndian.Uint32(body[off+4*k:])))
-				}
-				r.off += 4 * n
-				d.Offsets = append(d.Offsets, int32(len(d.Members)))
-			}
-			if r.err == nil && len(d.Members) != total {
-				r.fail("index member total overshoots its clusters by %d", total-len(d.Members))
-			}
-			snap.Indexes = append(snap.Indexes, d)
-			continue
-		}
-		// v3: the size table first, then the member arena in one block —
-		// decoded with a single fixed-width sweep into one allocation.
+		// The size table first, then the member arena in one block — decoded
+		// with a single fixed-width sweep into one allocation.
 		sum := 0
 		for j := 0; j < nclusters && r.err == nil; j++ {
 			n := r.count("cluster size", uint64(total-sum))
