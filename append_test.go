@@ -120,7 +120,7 @@ func TestSessionAppendReusesUnchangedMeasures(t *testing.T) {
 }
 
 func TestSessionAppendRepairStillWorks(t *testing.T) {
-	// Repair goes through the delegate counter; it must see appended rows.
+	// Repair goes through the embedded partition cache; it must see appended rows.
 	s := evolvefd.NewSession(datasets.Places())
 	s.MustDefine("F1", datasets.PlacesFDs()["F1"])
 	if err := s.AppendStrings(

@@ -229,8 +229,12 @@ func runDiscover(w io.Writer, counter pli.Counter, maxLHS int) error {
 
 func makeCounter(rel *relation.Relation, strategy string) (pli.Counter, error) {
 	switch strategy {
-	case "pli", "hash", "sort":
-		return pli.NewCounter(rel, pli.Strategy(strategy)), nil
+	case "pli":
+		return pli.NewPLICounter(rel), nil
+	case "hash":
+		return pli.NewHashCounter(rel), nil
+	case "sort":
+		return pli.NewSortCounter(rel), nil
 	case "sql":
 		return query.NewCounter(rel), nil
 	default:

@@ -89,7 +89,7 @@ func NewDurableSession(rel *Relation, dir string, opts DurabilityOptions) (*Sess
 // snapshot or write-ahead log) that OpenSession could recover. A missing or
 // empty directory reports false.
 func HasSessionState(dir string) bool {
-	snaps, logs, err := wal.ListStates(dir)
+	snaps, logs, err := wal.ListStatesFS(nil, dir)
 	return err == nil && (len(snaps) > 0 || len(logs) > 0)
 }
 
@@ -113,28 +113,7 @@ func OpenSessionOptions(dir string, opts DurabilityOptions) (*Session, error) {
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("evolvefd: no snapshot in %s (not a session directory?)", dir)
 	}
-	// Probe snapshots newest-first; a corrupt one falls back to its
-	// predecessor, whose log chain still reaches the present because Compact
-	// records are logical and two generations are retained.
-	var s *Session
-	var chosen uint64
-	var firstErr error
-	fellBack := false
-	for i := len(snaps) - 1; i >= 0 && s == nil; i-- {
-		snap, err := wal.ReadSnapshotFS(opts.FS, dir, snaps[i])
-		var cand *Session
-		if err == nil {
-			cand, err = restoreSnapshot(snap)
-		}
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("snapshot %d: %w", snaps[i], err)
-			}
-			fellBack = true
-			continue
-		}
-		s, chosen = cand, snaps[i]
-	}
+	s, chosen, fellBack, firstErr := restoreNewestSnapshot(opts.FS, dir, snaps, 0)
 	if s == nil {
 		return nil, fmt.Errorf("evolvefd: no usable snapshot in %s: %w", dir, firstErr)
 	}
@@ -198,6 +177,30 @@ func OpenSessionOptions(dir string, opts DurabilityOptions) (*Session, error) {
 		}
 	}
 	return s, nil
+}
+
+// restoreNewestSnapshot probes snaps (ascending sequence numbers listed from
+// dir) newest-first and restores a session from the first one past minSeq
+// that reads back and restores cleanly. A corrupt snapshot falls back to its
+// predecessor, whose log chain still reaches the present because Compact
+// records are logical and two generations are retained; fellBack reports
+// that happened and firstErr why. A nil session means no snapshot past
+// minSeq was usable (firstErr is nil when there was none to try).
+func restoreNewestSnapshot(fsys wal.FS, dir string, snaps []uint64, minSeq uint64) (s *Session, seq uint64, fellBack bool, firstErr error) {
+	for i := len(snaps) - 1; i >= 0 && snaps[i] > minSeq; i-- {
+		snap, err := wal.ReadSnapshotFS(fsys, dir, snaps[i])
+		if err == nil {
+			s, err = restoreSnapshot(snap)
+		}
+		if err == nil {
+			return s, snaps[i], fellBack, firstErr
+		}
+		if firstErr == nil {
+			firstErr = fmt.Errorf("snapshot %d: %w", snaps[i], err)
+		}
+		fellBack = true
+	}
+	return nil, 0, fellBack, firstErr
 }
 
 // restoreSnapshot rebuilds a Session from a decoded snapshot: relation and

@@ -386,7 +386,7 @@ func testSnapshotFallback(t *testing.T, damage func(snapshot []byte)) {
 		t.Fatal("fallback recovery diverged from pre-crash state")
 	}
 	r.Close()
-	snaps, _, err := wal.ListStates(base)
+	snaps, _, err := wal.ListStatesFS(nil, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func testSnapshotFallback(t *testing.T, damage func(snapshot []byte)) {
 	}
 	r2.Close()
 	// With every snapshot destroyed, recovery must refuse, not fabricate.
-	snaps, _, _ = wal.ListStates(base)
+	snaps, _, _ = wal.ListStatesFS(nil, base)
 	for _, seq := range snaps {
 		p := wal.SnapshotPath(base, seq)
 		d, _ := os.ReadFile(p)
@@ -713,7 +713,7 @@ func TestDurableCrashMatrixSnapshotBitFlip(t *testing.T) {
 		r.Close()
 		// The fallback must have written a superseding checkpoint so the next
 		// recovery does not depend on the damaged file.
-		snaps, _, err := wal.ListStates(dir)
+		snaps, _, err := wal.ListStatesFS(nil, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -746,7 +746,7 @@ func TestDurableSizeRotation(t *testing.T) {
 	if s.Epoch() != epochBefore {
 		t.Fatalf("size rotation moved the epoch %d -> %d; only compaction may", epochBefore, s.Epoch())
 	}
-	snaps, logs, err := wal.ListStates(base)
+	snaps, logs, err := wal.ListStatesFS(nil, base)
 	if err != nil {
 		t.Fatal(err)
 	}

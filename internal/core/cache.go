@@ -3,28 +3,8 @@ package core
 import (
 	"sync"
 
-	"github.com/evolvefd/evolvefd/internal/bitset"
 	"github.com/evolvefd/evolvefd/internal/pli"
 )
-
-// GenCounter is a Counter that can report when counts change: CountWithGen
-// returns |π_X(r)| together with a stamp that advances only when that count
-// actually changed. pli.IncrementalCounter implements it; the stamps are
-// what lets a periodic re-check after an append batch skip every FD whose
-// antecedent/consequent partitions were untouched by the new tuples.
-//
-// Epoch reports the storage epoch of the underlying relation. A compaction
-// bumps the epoch and moves row ids, but preserves every count — and a
-// remap-aware counter preserves the stamps with them — so a stamp match
-// across an epoch boundary still proves the measures unchanged. The cache
-// exploits that to carry its entries across compactions instead of
-// recomputing, and counts the crossings (EpochSurvivals) as the observable.
-type GenCounter interface {
-	pli.Counter
-	Generation() uint64
-	CountWithGen(x bitset.Set) (int, uint64)
-	Epoch() uint64
-}
 
 // measureEntry is one cached measure computation with the count stamps it
 // was derived from and the storage epoch it last served in.
@@ -34,17 +14,22 @@ type measureEntry struct {
 	epoch             uint64
 }
 
-// MeasureCache memoises FD measures across repeated Check calls. Bound to a
-// GenCounter it is generation-aware: a cached entry is reused exactly when
-// the stamps of |π_X|, |π_XY| and |π_Y| are all unchanged, i.e. when no
-// appended tuple created a new cluster in any of the three projections.
-// Bound to a plain Counter it degrades to computing every time (the counter
-// itself may still memoise partitions).
+// MeasureCache memoises FD measures across repeated Check calls, keyed on the
+// incremental counter's generation stamps: CountWithGen returns |π_X(r)| with
+// a stamp that advances only when that count actually changed, so a cached
+// entry is reused exactly when the stamps of |π_X|, |π_XY| and |π_Y| are all
+// unchanged — a periodic re-check after a mutation batch skips every FD whose
+// projections the batch left alone.
+//
+// A compaction bumps the storage epoch and moves row ids but preserves every
+// count, and the counter's remap preserves the stamps with them, so a stamp
+// match across an epoch boundary still proves the measures unchanged. The
+// cache carries its entries across compactions instead of recomputing, and
+// counts the crossings (EpochSurvivals) as the observable.
 //
 // A MeasureCache is safe for concurrent use.
 type MeasureCache struct {
-	counter pli.Counter
-	gen     GenCounter // nil when counter carries no generation stamps
+	counter *pli.IncrementalCounter
 	mu      sync.Mutex
 	entries map[string]measureEntry
 	hits    uint64
@@ -56,29 +41,18 @@ type MeasureCache struct {
 	epochSurvivals uint64
 }
 
-// NewMeasureCache builds a cache over counter, detecting generation support.
-func NewMeasureCache(counter pli.Counter) *MeasureCache {
-	mc := &MeasureCache{counter: counter, entries: make(map[string]measureEntry)}
-	if g, ok := counter.(GenCounter); ok {
-		mc.gen = g
-	}
-	return mc
+// NewMeasureCache builds a cache over counter.
+func NewMeasureCache(counter *pli.IncrementalCounter) *MeasureCache {
+	return &MeasureCache{counter: counter, entries: make(map[string]measureEntry)}
 }
-
-// Counter returns the underlying counter (for repair searches, which probe
-// far too many candidate sets to cache per-FD measures).
-func (mc *MeasureCache) Counter() pli.Counter { return mc.counter }
 
 // Compute returns the measures of fd, reusing the cached value when the
 // generation stamps prove no underlying count changed.
 func (mc *MeasureCache) Compute(fd FD) Measures {
-	if mc.gen == nil {
-		return Compute(mc.counter, fd)
-	}
-	numX, genX := mc.gen.CountWithGen(fd.X)
-	numXY, genXY := mc.gen.CountWithGen(fd.Attrs())
-	numY, genY := mc.gen.CountWithGen(fd.Y)
-	epoch := mc.gen.Epoch()
+	numX, genX := mc.counter.CountWithGen(fd.X)
+	numXY, genXY := mc.counter.CountWithGen(fd.Attrs())
+	numY, genY := mc.counter.CountWithGen(fd.Y)
+	epoch := mc.counter.Epoch()
 
 	key := measureKey(fd)
 	mc.mu.Lock()

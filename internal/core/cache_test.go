@@ -141,22 +141,6 @@ func TestMeasureCacheEmptyRelationGenerations(t *testing.T) {
 	}
 }
 
-func TestMeasureCachePlainCounterFallback(t *testing.T) {
-	r := appendRelation(t, [][]string{{"x", "1", "p"}, {"y", "2", "q"}})
-	fdAB, _ := cacheFDs(t, r)
-	mc := NewMeasureCache(pli.NewPLICounter(r))
-	if mc.Counter() == nil {
-		t.Fatal("Counter accessor lost the counter")
-	}
-	want := Compute(pli.NewPLICounter(r), fdAB)
-	if got := mc.Compute(fdAB); got != want {
-		t.Fatalf("plain-counter measures = %+v, want %+v", got, want)
-	}
-	if hits, misses := mc.Stats(); hits != 0 || misses != 0 {
-		t.Fatalf("plain counters must bypass the cache, stats = %d/%d", hits, misses)
-	}
-}
-
 func TestOrderFDsCachedMatchesOrderFDs(t *testing.T) {
 	r := appendRelation(t, [][]string{
 		{"x", "1", "p"}, {"x", "2", "p"}, {"y", "1", "q"}, {"z", "3", "q"},

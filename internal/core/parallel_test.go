@@ -90,7 +90,7 @@ func TestQuickFindRepairsParallelismInvariance(t *testing.T) {
 }
 
 // TestQuickParallelismInvarianceOnIncrementalCounter repeats the invariance
-// check on the session counter (tracked sets + inner PLI delegate), which is
+// check on the session counter (tracked sets + embedded PLI cache), which is
 // the counter Session.Repair actually uses.
 func TestQuickParallelismInvarianceOnIncrementalCounter(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))

@@ -72,9 +72,7 @@ func MinimalFDs(counter pli.Counter, opts Options) ([]core.FD, Stats) {
 	// count-only product answers the same question by pure AND/popcount with
 	// zero allocation, which beats the per-row probe walk. Counters without
 	// partition handles (hash, sort, SQL) keep the count equality.
-	partitions, _ := counter.(interface {
-		Partition(x bitset.Set) *pli.Partition
-	})
+	partitions, _ := counter.(pli.SearchCounter)
 	valid := func(x, ySet bitset.Set) bool {
 		if partitions != nil {
 			px, py := partitions.Partition(x), partitions.Partition(ySet)

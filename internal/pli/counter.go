@@ -28,7 +28,8 @@ type Counter interface {
 // through expansion: each child X∪U∪{a} then costs one stripped product
 // (parent · singleton) instead of a from-scratch fold over single columns —
 // and, for scoring, one count-only product that materialises nothing at all.
-// PLICounter and IncrementalCounter implement it.
+// A handle is good for the relation state it was taken in; a search must not
+// carry one across a mutation. PLICounter and IncrementalCounter implement it.
 type SearchCounter interface {
 	Counter
 	// Partition returns the (memoised) stripped partition of x.
@@ -48,33 +49,6 @@ type SearchCounter interface {
 	ChildCount(x bitset.Set, parent *Partition, attr int) int
 }
 
-// Strategy names a Counter construction; used by CLI flags and the ablation
-// benchmarks.
-type Strategy string
-
-const (
-	// StrategyPLI counts via cached stripped-partition products (default).
-	StrategyPLI Strategy = "pli"
-	// StrategyHash counts by hashing encoded code-tuples.
-	StrategyHash Strategy = "hash"
-	// StrategySort counts by sorting row indices then counting boundaries —
-	// the O(n log n) sort + O(n) count route the paper's complexity
-	// discussion describes (§4.4).
-	StrategySort Strategy = "sort"
-)
-
-// NewCounter builds a Counter of the given strategy over r.
-func NewCounter(r *relation.Relation, s Strategy) Counter {
-	switch s {
-	case StrategyHash:
-		return NewHashCounter(r)
-	case StrategySort:
-		return NewSortCounter(r)
-	default:
-		return NewPLICounter(r)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // PLI strategy
 
@@ -86,7 +60,7 @@ func NewCounter(r *relation.Relation, s Strategy) Counter {
 // relation touches hundreds of thousands of attribute sets.
 const defaultCacheEntries = 1024
 
-// numShards is the number of independent lock domains of the multi-column
+// numShards is the number of independent lock domains of the partition
 // cache. Workers asking for unrelated attribute sets almost never contend:
 // keys spread by FNV-1a hash. A power of two keeps the modulo cheap.
 const numShards = 16
@@ -112,8 +86,10 @@ func (e *cacheEntry) ready() bool {
 	}
 }
 
-// cacheShard is one lock domain of the multi-column partition cache with its
-// own LRU list (front = least recently used).
+// cacheShard is one lock domain of the partition cache with its own LRU list
+// (front = least recently used). The bound counts LRU-listed entries only:
+// pinned entries (the empty set and single columns) sit in the map outside
+// the list, so they never evict a composite and nothing evicts them.
 type cacheShard struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -121,10 +97,19 @@ type cacheShard struct {
 	max     int
 }
 
-// lookup returns the entry for key, inserting a fresh building entry when
-// absent. The second result is true when the caller must build and publish
-// the partition. Present entries are refreshed to most-recently-used.
-func (s *cacheShard) lookup(key string) (*cacheEntry, bool) {
+// reset drops every entry, pinned ones included.
+func (s *cacheShard) reset() {
+	s.mu.Lock()
+	s.entries = make(map[string]*cacheEntry)
+	s.lru = list.New()
+	s.mu.Unlock()
+}
+
+// lookup returns the entry for key, inserting a fresh building entry (pinned
+// or LRU-listed) when absent. The second result is true when the caller must
+// build and publish the partition. Present entries are refreshed to
+// most-recently-used.
+func (s *cacheShard) lookup(key string, pin bool) (*cacheEntry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.entries[key]; ok {
@@ -135,30 +120,38 @@ func (s *cacheShard) lookup(key string) (*cacheEntry, bool) {
 	}
 	e := &cacheEntry{done: make(chan struct{})}
 	s.entries[key] = e
+	if pin {
+		return e, true
+	}
 	e.elem = s.lru.PushBack(key)
-	for len(s.entries) > s.max {
+	for s.lru.Len() > s.max {
 		oldest := s.lru.Front()
 		k := oldest.Value.(string)
 		s.lru.Remove(oldest)
-		if victim := s.entries[k]; victim != nil {
-			victim.elem = nil
-		}
+		s.entries[k].elem = nil
 		delete(s.entries, k)
 	}
 	return e, true
 }
 
-// peek returns the ready partition for key without inserting or building.
+// peek returns the ready multi-column partition for key without inserting or
+// building.
 func (s *cacheShard) peek(key string) (*Partition, bool) {
 	s.mu.Lock()
-	e, ok := s.entries[key]
-	if ok && e.elem != nil && e.ready() {
+	defer s.mu.Unlock()
+	if e, ok := s.entries[key]; ok && e.elem != nil && e.ready() {
 		s.lru.MoveToBack(e.elem)
-		s.mu.Unlock()
 		return e.p, true
 	}
-	s.mu.Unlock()
 	return nil, false
+}
+
+// relationState identifies one state of a relation's stored rows: compaction
+// bumps the epoch, deletes and updates the mutation count, appends the
+// physical row count.
+type relationState struct {
+	epoch, mutations uint64
+	rows             int
 }
 
 // PLICounter counts classes of cached stripped partitions. Single-column
@@ -167,25 +160,21 @@ func (s *cacheShard) peek(key string) (*Partition, bool) {
 // duplicate-build suppression, so concurrent search workers asking for the
 // same partition build it once and never serialise on unrelated keys.
 //
-// Cached partitions carry row ids and are therefore only valid within one
-// storage epoch: every query first compares the relation's epoch against the
-// one the caches were built in, and a compaction-induced mismatch drops
-// every cached partition (pinned singletons included) before serving. The
-// relation must not be compacted concurrently with queries, like any other
-// mutation.
+// The cache has one validity rule: every partition in it describes the same
+// relation state. Each query first compares the relation's (Epoch, Mutations,
+// NumRows) with the state the cache was filled in, and on any mismatch drops
+// every entry before serving — so one counter may outlive appends, deletes,
+// updates and compactions of its relation. The relation must not be mutated
+// concurrently with queries.
 type PLICounter struct {
-	r *relation.Relation
-	// pinned holds the empty-set and single-column partitions, never
-	// evicted.
-	pinnedMu sync.Mutex
-	pinned   map[string]*cacheEntry
-	shards   [numShards]cacheShard
+	r      *relation.Relation
+	shards [numShards]cacheShard
 	// builds counts actual multi-column partition constructions — the
 	// observable that singleflight suppresses duplicate work.
 	builds atomic.Uint64
-	// epoch is the storage epoch the caches reflect; resetMu serialises the
-	// epoch-mismatch cache reset.
-	epoch   atomic.Uint64
+	// state is the relation state the cache reflects, behind one pointer so
+	// the per-query check is a single load; resetMu serialises the reset.
+	state   atomic.Pointer[relationState]
 	resetMu sync.Mutex
 }
 
@@ -202,45 +191,35 @@ func NewPLICounterSize(r *relation.Relation, maxEntries int) *PLICounter {
 	if maxEntries < 16 {
 		maxEntries = 16
 	}
-	c := &PLICounter{r: r, pinned: make(map[string]*cacheEntry)}
-	perShard := maxEntries / numShards
-	if perShard < 1 {
-		perShard = 1
-	}
+	c := &PLICounter{r: r}
 	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*cacheEntry)
-		c.shards[i].lru = list.New()
-		c.shards[i].max = perShard
+		c.shards[i].reset()
+		c.shards[i].max = maxEntries / numShards
 	}
-	c.epoch.Store(r.Epoch())
+	c.state.Store(&relationState{r.Epoch(), r.Mutations(), r.NumRows()})
 	return c
 }
 
-// syncEpoch drops every cached partition when the relation was compacted
-// since the caches were filled: the partitions' row ids belong to the old
-// epoch. The fast path is one atomic load; the reset itself is serialised so
-// concurrent readers entering after a compaction reset exactly once.
-func (c *PLICounter) syncEpoch() {
-	e := c.r.Epoch()
-	if c.epoch.Load() == e {
+// validate drops every cached partition when the relation is not in the
+// state the cache was filled in. The fast path is one atomic load and three
+// compares; the reset itself is serialised so concurrent readers entering
+// after a mutation reset exactly once.
+func (c *PLICounter) validate() {
+	now := relationState{c.r.Epoch(), c.r.Mutations(), c.r.NumRows()}
+	if *c.state.Load() == now {
 		return
 	}
 	c.resetMu.Lock()
 	defer c.resetMu.Unlock()
-	if c.epoch.Load() == e {
+	if *c.state.Load() == now {
 		return
 	}
-	c.pinnedMu.Lock()
-	c.pinned = make(map[string]*cacheEntry)
-	c.pinnedMu.Unlock()
 	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.entries = make(map[string]*cacheEntry)
-		s.lru = list.New()
-		s.mu.Unlock()
+		c.shards[i].reset()
 	}
-	c.epoch.Store(e)
+	// Copied here so only the reset path allocates.
+	stored := now
+	c.state.Store(&stored)
 }
 
 // Relation returns the bound instance.
@@ -263,40 +242,19 @@ func (c *PLICounter) shard(key string) *cacheShard {
 	return &c.shards[h%numShards]
 }
 
-// getScratch borrows product working tables from the package-wide pool
-// (shared with FromSet and nil-scratch Products) instead of allocating O(n)
-// probe slices on every product.
-func (c *PLICounter) getScratch() *productScratch  { return getScratch(c.r.NumRows()) }
-func (c *PLICounter) putScratch(s *productScratch) { putScratch(s) }
-
 // Partition returns the (memoised) stripped partition for x. Concurrent
 // requests for the same uncached set build it exactly once.
 func (c *PLICounter) Partition(x bitset.Set) *Partition {
-	return c.partition(x, 1)
+	return c.PartitionPar(x, 1)
 }
 
 // PartitionPar is Partition with uncached products fanned across `workers`
 // goroutines. Meant for serial call sites; the memoised result is shared with
 // Partition and identical to it.
 func (c *PLICounter) PartitionPar(x bitset.Set, workers int) *Partition {
-	return c.partition(x, workers)
-}
-
-func (c *PLICounter) partition(x bitset.Set, workers int) *Partition {
-	c.syncEpoch()
-	members := x.Members()
-	key := x.Key()
-	if len(members) <= 1 {
-		return c.pinnedPartition(key, members)
-	}
-	e, build := c.shard(key).lookup(key)
-	if !build {
-		<-e.done
-		return e.p
-	}
-	e.p = c.buildMulti(x, members, workers)
-	close(e.done)
-	return e.p
+	return c.memo(x, func(members []int) *Partition {
+		return c.buildMulti(x, members, workers)
+	})
 }
 
 // ChildPartition returns the partition of x ∪ {attr}. On a cache miss it is
@@ -304,22 +262,32 @@ func (c *PLICounter) partition(x bitset.Set, workers int) *Partition {
 // x — the search-aware fast path — and memoised for the child's own later
 // expansion.
 func (c *PLICounter) ChildPartition(x bitset.Set, parent *Partition, attr int) *Partition {
-	c.syncEpoch()
-	child := x.With(attr)
-	members := child.Members()
-	key := child.Key()
-	if len(members) <= 1 {
-		return c.pinnedPartition(key, members)
-	}
-	e, build := c.shard(key).lookup(key)
+	return c.memo(x.With(attr), func([]int) *Partition {
+		return parent.Product(c.Partition(bitset.New(attr)), nil)
+	})
+}
+
+// memo serves x from the cache at the relation's current state, building it
+// under singleflight on a miss: the empty set and single columns directly
+// from the relation (pinned), anything wider through multi.
+func (c *PLICounter) memo(x bitset.Set, multi func(members []int) *Partition) *Partition {
+	c.validate()
+	members := x.Members()
+	key := x.Key()
+	e, build := c.shard(key).lookup(key, len(members) <= 1)
 	if !build {
 		<-e.done
 		return e.p
 	}
-	c.builds.Add(1)
-	scratch := c.getScratch()
-	e.p = parent.Product(c.Partition(bitset.New(attr)), scratch)
-	c.putScratch(scratch)
+	switch len(members) {
+	case 0:
+		e.p = universalOf(c.r)
+	case 1:
+		e.p = FromColumn(c.r, members[0])
+	default:
+		c.builds.Add(1)
+		e.p = multi(members)
+	}
 	close(e.done)
 	return e.p
 }
@@ -329,38 +297,16 @@ func (c *PLICounter) ChildPartition(x bitset.Set, parent *Partition, attr int) *
 // parent partition — nothing is materialised, nothing enters the cache, and
 // no singleflight entry is published (a count is too cheap to coordinate).
 func (c *PLICounter) ChildCount(x bitset.Set, parent *Partition, attr int) int {
-	c.syncEpoch()
 	child := x.With(attr)
-	members := child.Members()
-	key := child.Key()
-	if len(members) <= 1 {
-		return c.pinnedPartition(key, members).NumClasses()
+	if child.Len() <= 1 {
+		return c.Partition(child).NumClasses()
 	}
+	c.validate()
+	key := child.Key()
 	if p, ok := c.shard(key).peek(key); ok {
 		return p.NumClasses()
 	}
 	return parent.ProductCount(c.Partition(bitset.New(attr)), nil)
-}
-
-// pinnedPartition serves the empty-set and single-column partitions, built
-// once under singleflight and never evicted.
-func (c *PLICounter) pinnedPartition(key string, members []int) *Partition {
-	c.pinnedMu.Lock()
-	if e, ok := c.pinned[key]; ok {
-		c.pinnedMu.Unlock()
-		<-e.done
-		return e.p
-	}
-	e := &cacheEntry{done: make(chan struct{})}
-	c.pinned[key] = e
-	c.pinnedMu.Unlock()
-	if len(members) == 0 {
-		e.p = universalOf(c.r)
-	} else {
-		e.p = FromColumn(c.r, members[0])
-	}
-	close(e.done)
-	return e.p
 }
 
 // buildMulti constructs a multi-column partition: from the largest cached
@@ -368,9 +314,8 @@ func (c *PLICounter) pinnedPartition(key string, members []int) *Partition {
 // otherwise by folding single columns left to right. With workers > 1 each
 // product is a sharded ProductParallel (bit-identical to serial).
 func (c *PLICounter) buildMulti(x bitset.Set, members []int, workers int) *Partition {
-	c.builds.Add(1)
-	scratch := c.getScratch()
-	defer c.putScratch(scratch)
+	scratch := getScratch(c.r.NumRows())
+	defer putScratch(scratch)
 	product := func(base, factor *Partition) *Partition {
 		if workers > 1 {
 			return base.ProductParallel(factor, workers)
@@ -393,9 +338,7 @@ func (c *PLICounter) buildMulti(x bitset.Set, members []int, workers int) *Parti
 // CacheSize reports how many partitions are memoised, pinned singletons
 // included (for tests and stats).
 func (c *PLICounter) CacheSize() int {
-	c.pinnedMu.Lock()
-	n := len(c.pinned)
-	c.pinnedMu.Unlock()
+	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()

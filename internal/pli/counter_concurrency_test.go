@@ -120,7 +120,7 @@ func TestChildPartitionMatchesDirectBuild(t *testing.T) {
 }
 
 // TestChildPartitionOnIncrementalCounter: the session counter implements the
-// same SearchCounter surface by delegating to its inner PLI cache, including
+// same SearchCounter surface through its embedded PLI cache, including
 // after appends invalidate the previous generation.
 func TestChildPartitionOnIncrementalCounter(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))

@@ -86,10 +86,11 @@ type trackedIndex struct {
 //     the count actually changed (growth or shrink). Beyond maxTracked sets
 //     the least-recently-used index is evicted.
 //   - Untracked sets (the thousands of candidate antecedents a repair search
-//     probes once each) delegate to an internal PLICounter that is rebuilt
-//     lazily whenever the relation has mutated — generation-stamped
-//     invalidation of the cached composite partitions, tombstone shrinks
-//     included.
+//     probes once each) are served by the embedded PLICounter: one partition
+//     cache for the counter's whole life, which validates itself against the
+//     relation's state on every query. Its Relation, ChildPartition and
+//     ChildCount are this counter's too — a search scoring children in
+//     parallel never takes this counter's mutex.
 //
 // Appends may go straight to the relation (they are folded in on the next
 // query); deletes and updates must go through Delete/Update/UpdateStrings so
@@ -102,7 +103,7 @@ type trackedIndex struct {
 // Like every Counter, an IncrementalCounter is safe for concurrent use; the
 // relation must not be mutated concurrently with queries.
 type IncrementalCounter struct {
-	r  *relation.Relation
+	*PLICounter
 	mu sync.Mutex
 	// gen counts applied mutation batches (append folds, delete batches,
 	// updates); it starts at 1 so a zero stamp never collides with a live one.
@@ -121,9 +122,6 @@ type IncrementalCounter struct {
 	// only possible change is that 0↔1 flip.
 	emptyGen uint64
 	wasEmpty bool
-	// inner serves untracked sets; rebuilt when stale (innerGen != gen).
-	inner    *PLICounter
-	innerGen uint64
 	keyBuf   []byte
 	colBuf   [][]int32
 	oldCodes []int32
@@ -142,7 +140,7 @@ func NewIncrementalCounterSize(r *relation.Relation, maxTracked int) *Incrementa
 		maxTracked = 4
 	}
 	return &IncrementalCounter{
-		r:            r,
+		PLICounter:   NewPLICounter(r),
 		gen:          1,
 		appliedRows:  r.NumRows(),
 		appliedMuts:  r.Mutations(),
@@ -160,9 +158,6 @@ func NewIncrementalCounterSize(r *relation.Relation, maxTracked int) *Incrementa
 // unchanged per-set stamp after a compaction means row ids moved but every
 // count — and therefore every measure — is provably unchanged.
 func (c *IncrementalCounter) Epoch() uint64 { return c.r.Epoch() }
-
-// Relation returns the bound instance.
-func (c *IncrementalCounter) Relation() *relation.Relation { return c.r }
 
 // Generation reports how many mutation batches have been folded in (starting
 // at 1). It advances exactly when the relation changed since the last query:
@@ -494,9 +489,8 @@ func (c *IncrementalCounter) isTracked(x bitset.Set) bool {
 }
 
 // Count returns |π_X(r)| over live rows. Tracked sets answer in O(1) and are
-// refreshed to most-recently-used; untracked sets go through the internal
-// PLICounter, which is invalidated and rebuilt whenever the relation has
-// mutated.
+// refreshed to most-recently-used; untracked sets go through the embedded
+// PLICounter.
 func (c *IncrementalCounter) Count(x bitset.Set) int {
 	c.mu.Lock()
 	c.sync()
@@ -514,9 +508,8 @@ func (c *IncrementalCounter) Count(x bitset.Set) int {
 		c.mu.Unlock()
 		return n
 	}
-	inner := c.delegate()
 	c.mu.Unlock()
-	return inner.Count(x)
+	return c.PLICounter.Count(x)
 }
 
 // CountWithGen returns |π_X(r)| together with the generation at which that
@@ -544,16 +537,22 @@ func (c *IncrementalCounter) CountWithGen(x bitset.Set) (int, uint64) {
 
 // Partition materialises the stripped partition of x over the live rows.
 // Tracked sets build it from the live cluster map; untracked sets go through
-// the internal PLICounter, so repair searches probing the same set repeatedly
+// the embedded PLICounter, so repair searches probing the same set repeatedly
 // hit its sharded cache instead of refolding columns.
 func (c *IncrementalCounter) Partition(x bitset.Set) *Partition {
+	return c.PartitionPar(x, 1)
+}
+
+// PartitionPar is Partition with an untracked set's uncached products
+// sharded across `workers` goroutines. Tracked sets materialise in one pass
+// from the live cluster map either way.
+func (c *IncrementalCounter) PartitionPar(x bitset.Set, workers int) *Partition {
 	c.mu.Lock()
 	c.sync()
 	idx, ok := c.tracked[x.Key()]
 	if !ok {
-		inner := c.delegate()
 		c.mu.Unlock()
-		return inner.Partition(x)
+		return c.PLICounter.PartitionPar(x, workers)
 	}
 	c.lru.MoveToBack(idx.elem)
 	p := &Partition{numRows: c.r.LiveRows(), extent: c.r.NumRows()}
@@ -675,10 +674,11 @@ func (c *IncrementalCounter) UpdateStrings(row int, cells ...string) error {
 // O(moved rows × tracked sets): rows below the remap's identity prefix are
 // not visited at all.
 //
-// The generation still advances — the inner delegate's composite partitions
-// and any materialised Partition carry old-epoch row ids — so partition
-// consumers rebuild while count consumers don't, which is exactly the split
-// the epoch design wants. Returns nil when the relation has no tombstones.
+// The generation still advances — any materialised Partition carries
+// old-epoch row ids, and the embedded cache drops its own at the epoch
+// change — so partition consumers rebuild while count consumers don't, which
+// is exactly the split the epoch design wants. Returns nil when the relation
+// has no tombstones.
 func (c *IncrementalCounter) Compact() *relation.Remap {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1059,59 +1059,4 @@ func (c *IncrementalCounter) link(idx *trackedIndex, key string, row int32) {
 	}
 	idx.head[id] = row
 	idx.size[id]++
-}
-
-// ChildPartition returns the partition of x ∪ {attr}, delegating to the
-// internal PLICounter's search-aware fast path (one product off the parent's
-// partition on a miss). Together with Partition this makes the incremental
-// counter a SearchCounter, so repair searches over a session reuse parent
-// partitions exactly like the plain PLI strategy. The relation must not be
-// mutated concurrently with an in-flight search.
-func (c *IncrementalCounter) ChildPartition(x bitset.Set, parent *Partition, attr int) *Partition {
-	c.mu.Lock()
-	c.sync()
-	inner := c.delegate()
-	c.mu.Unlock()
-	return inner.ChildPartition(x, parent, attr)
-}
-
-// ChildCount returns |π_{x∪{attr}}| through the inner PLICounter's count-only
-// kernel (one popcount/probe pass off the parent partition, nothing
-// materialised). The relation must not be mutated concurrently with an
-// in-flight search.
-func (c *IncrementalCounter) ChildCount(x bitset.Set, parent *Partition, attr int) int {
-	c.mu.Lock()
-	c.sync()
-	inner := c.delegate()
-	c.mu.Unlock()
-	return inner.ChildCount(x, parent, attr)
-}
-
-// PartitionPar materialises the stripped partition of x with uncached
-// products sharded across `workers` goroutines. Tracked sets already
-// materialise in one pass from the live cluster map, so they take the
-// Partition path unchanged.
-func (c *IncrementalCounter) PartitionPar(x bitset.Set, workers int) *Partition {
-	c.mu.Lock()
-	c.sync()
-	if _, ok := c.tracked[x.Key()]; ok {
-		c.mu.Unlock()
-		return c.Partition(x)
-	}
-	inner := c.delegate()
-	c.mu.Unlock()
-	return inner.PartitionPar(x, workers)
-}
-
-// delegate returns the inner PLICounter for untracked sets, rebuilding it if
-// the relation mutated since it was cached — appends, deletes and updates
-// all advance the generation, so a stale sharded LRU of composite partitions
-// is never served. Callers must hold c.mu and have synced; the returned
-// counter is safe to use after releasing the lock.
-func (c *IncrementalCounter) delegate() *PLICounter {
-	if c.inner == nil || c.innerGen != c.gen {
-		c.inner = NewPLICounter(c.r)
-		c.innerGen = c.gen
-	}
-	return c.inner
 }

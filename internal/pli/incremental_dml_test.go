@@ -307,8 +307,7 @@ func TestIncrementalDeleteErrors(t *testing.T) {
 	if n := inc.Count(bitset.New(0)); n != 3 {
 		t.Fatalf("count = %d, want 3", n)
 	}
-	// An empty batch is a no-op: it must not advance the generation (which
-	// would needlessly invalidate the delegate and its partition cache).
+	// An empty batch is a no-op: it must not advance the generation.
 	gen := inc.Generation()
 	if err := inc.Delete(); err != nil {
 		t.Fatal(err)

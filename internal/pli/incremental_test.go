@@ -56,7 +56,7 @@ func TestIncrementalDifferential(t *testing.T) {
 	inc := NewIncrementalCounter(r)
 	sets := randomSets(rng, ncols, 12)
 
-	// Track roughly half the sets; the rest exercise the delegate path.
+	// Track roughly half the sets; the rest exercise the embedded partition cache.
 	for i, s := range sets {
 		if i%2 == 0 {
 			inc.Track(s)
@@ -162,7 +162,7 @@ func TestIncrementalTrackedEviction(t *testing.T) {
 	if got := inc.TrackedSets(); got != 4 {
 		t.Fatalf("tracked sets = %d, want eviction down to 4", got)
 	}
-	// Evicted sets must still answer correctly (via re-track or delegate).
+	// Evicted sets must still answer correctly (via re-track or the embedded cache).
 	fresh := NewPLICounter(r)
 	for _, s := range sets {
 		if got, want := inc.Count(s), fresh.Count(s); got != want {
@@ -175,15 +175,15 @@ func TestIncrementalDelegateInvalidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	r := randomRelation(rng, 25, 4, 4)
 	inc := NewIncrementalCounter(r)
-	s := bitset.New(0, 1, 2) // never tracked: exercises the inner PLICounter
+	s := bitset.New(0, 1, 2) // never tracked: exercises the embedded PLICounter
 	before := inc.Count(s)
 	if want := NewPLICounter(r).Count(s); before != want {
-		t.Fatalf("delegate count = %d, want %d", before, want)
+		t.Fatalf("untracked count = %d, want %d", before, want)
 	}
 	appendRandomRows(t, rng, r, 30)
 	after := inc.Count(s)
 	if want := NewPLICounter(r).Count(s); after != want {
-		t.Fatalf("delegate count after growth = %d, want %d (stale inner counter?)", after, want)
+		t.Fatalf("untracked count after growth = %d, want %d (stale partition cache?)", after, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package pli
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/evolvefd/evolvefd/internal/bitset"
@@ -167,39 +168,34 @@ func TestQuickAllStrategiesAgree(t *testing.T) {
 	}
 }
 
+// strategies are the three in-memory counter constructions of the §4.4
+// ablation.
+var strategies = []struct {
+	name string
+	make func(r *relation.Relation) Counter
+}{
+	{"pli", func(r *relation.Relation) Counter { return NewPLICounter(r) }},
+	{"hash", func(r *relation.Relation) Counter { return NewHashCounter(r) }},
+	{"sort", func(r *relation.Relation) Counter { return NewSortCounter(r) }},
+}
+
 func TestCountEmptyRelationAndEmptySet(t *testing.T) {
 	schema, _ := relation.SchemaOf("a", "b")
 	empty := relation.New("e", schema)
 	full := buildRelation(t, []string{"a", "b"}, [][]string{{"1", "2"}})
-	for _, s := range []Strategy{StrategyPLI, StrategyHash, StrategySort} {
-		if got := NewCounter(empty, s).Count(bitset.New(0)); got != 0 {
-			t.Errorf("%s: count on empty relation = %d, want 0", s, got)
+	for _, s := range strategies {
+		if got := s.make(empty).Count(bitset.New(0)); got != 0 {
+			t.Errorf("%s: count on empty relation = %d, want 0", s.name, got)
 		}
-		if got := NewCounter(empty, s).Count(bitset.Set{}); got != 0 {
-			t.Errorf("%s: count(∅) on empty relation = %d, want 0", s, got)
+		if got := s.make(empty).Count(bitset.Set{}); got != 0 {
+			t.Errorf("%s: count(∅) on empty relation = %d, want 0", s.name, got)
 		}
-		if got := NewCounter(full, s).Count(bitset.Set{}); got != 1 {
-			t.Errorf("%s: count(∅) on non-empty relation = %d, want 1", s, got)
+		if got := s.make(full).Count(bitset.Set{}); got != 1 {
+			t.Errorf("%s: count(∅) on non-empty relation = %d, want 1", s.name, got)
 		}
-	}
-}
-
-func TestNewCounterStrategySelection(t *testing.T) {
-	r := buildRelation(t, []string{"a"}, [][]string{{"1"}})
-	if _, ok := NewCounter(r, StrategyPLI).(*PLICounter); !ok {
-		t.Error("pli strategy should build PLICounter")
-	}
-	if _, ok := NewCounter(r, StrategyHash).(*HashCounter); !ok {
-		t.Error("hash strategy should build HashCounter")
-	}
-	if _, ok := NewCounter(r, StrategySort).(*SortCounter); !ok {
-		t.Error("sort strategy should build SortCounter")
-	}
-	if _, ok := NewCounter(r, Strategy("bogus")).(*PLICounter); !ok {
-		t.Error("unknown strategy should default to PLI")
-	}
-	if NewCounter(r, StrategyPLI).Relation() != r {
-		t.Error("Relation() must return the bound instance")
+		if s.make(full).Relation() != full {
+			t.Errorf("%s: Relation() must return the bound instance", s.name)
+		}
 	}
 }
 
@@ -269,10 +265,10 @@ func BenchmarkCountStrategies(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	r := randomRelation(rng, 20000, 4, 40)
 	x := bitset.New(0, 1, 2)
-	for _, s := range []Strategy{StrategyPLI, StrategyHash, StrategySort} {
-		b.Run(string(s), func(b *testing.B) {
+	for _, s := range strategies {
+		b.Run(s.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c := NewCounter(r, s) // fresh counter: no cross-iteration memoisation
+				c := s.make(r) // fresh counter: no cross-iteration memoisation
 				_ = c.Count(x)
 			}
 		})
@@ -300,4 +296,95 @@ func TestPLICacheEvictionBound(t *testing.T) {
 	if got, want := c.Count(x), r.DistinctCountSet(x); got != want {
 		t.Fatalf("post-eviction count = %d, want %d", got, want)
 	}
+}
+
+// TestPLICounterSeesMutations pins the partition cache's one validity rule
+// and its lifetime.
+func TestPLICounterSeesMutations(t *testing.T) {
+	// A single long-lived PLICounter answers every query for the relation's
+	// current state — after appends, deletes, updates and compactions applied
+	// behind its back — exactly like a fresh HashCounter and the map oracle.
+	t.Run("every state", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(14))
+		const cols, domain = 4, 3
+		r := randomRelation(rng, 40, cols, domain)
+		c := NewPLICounter(r)
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		steps := []func(){
+			func() {},
+			func() { must(r.AppendStrings("fresh", "A", "B", "C")) },
+			func() { must(r.Delete(0, 7)) },
+			func() { must(r.UpdateStrings(3, "other", "A", "A", "A")) },
+			func() {
+				if r.Compact() == nil {
+					t.Fatal("nothing to compact")
+				}
+			},
+		}
+		for i := 0; i < 40; i++ {
+			steps = append(steps, func() { mutate(t, rng, r, domain) })
+		}
+		sets := randomSets(rng, cols, 10)
+		for i, step := range steps {
+			step()
+			hash := NewHashCounter(r)
+			// The first queries after a mutation arrive together: exactly one
+			// resets the cache, none sees the state before it.
+			var wg sync.WaitGroup
+			for _, x := range sets {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if got, want := c.Count(x), hash.Count(x); got != want {
+						t.Errorf("step %d: concurrent Count(%v) = %d, want %d", i, x, got, want)
+					}
+				}()
+			}
+			wg.Wait()
+			for _, x := range sets {
+				if got, want := c.Count(x), hash.Count(x); got != want {
+					t.Fatalf("step %d: Count(%v) = %d, want %d", i, x, got, want)
+				}
+				p := c.Partition(x)
+				if !matchesOracle(r, x, p) {
+					t.Fatalf("step %d: Partition(%v) diverged from the oracle", i, x)
+				}
+				for attr := 0; attr < cols; attr++ {
+					child := x.With(attr)
+					if got, want := c.ChildCount(x, p, attr), hash.Count(child); got != want {
+						t.Fatalf("step %d: ChildCount(%v+%d) = %d, want %d", i, x, attr, got, want)
+					}
+					if !matchesOracle(r, child, c.ChildPartition(x, p, attr)) {
+						t.Fatalf("step %d: ChildPartition(%v+%d) diverged from the oracle", i, x, attr)
+					}
+				}
+			}
+		}
+	})
+	// The incremental counter's partition cache is one object for the whole
+	// session: its build counter accumulates across generations instead of
+	// restarting with each.
+	t.Run("one cache per session", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(15))
+		r := randomRelation(rng, 50, 4, 3)
+		c := NewIncrementalCounter(r)
+		x := bitset.New(0, 1, 2)
+		var last uint64
+		for gen := 0; gen < 5; gen++ {
+			appendRandomRows(t, rng, r, 3)
+			if got, want := c.Count(x), r.DistinctCountSet(x); got != want {
+				t.Fatalf("generation %d: Count = %d, want %d", gen, got, want)
+			}
+			builds := c.MultiColumnBuilds()
+			if builds <= last {
+				t.Fatalf("generation %d: MultiColumnBuilds went %d → %d", gen, last, builds)
+			}
+			last = builds
+		}
+	})
 }

@@ -18,20 +18,11 @@ import (
 // two all-dense partitions touches no O(extent) scratch at all. Each kernel
 // exists in a materialising and a count-only form; the count-only form never
 // writes members, and for dense×dense it is pure popcount.
-
-// wordEligible reports whether the word kernels may run for p·q: both
-// partitions over the same physical row range (equal extents imply equal
-// words-per-class, so bitmaps are word-aligned with each other). Otherwise
-// dense q classes are decoded to members and take the probe-scatter path.
-func (p *Partition) wordEligible(q *Partition) bool {
-	return p.extent == q.extent
-}
-
-// needsProbe reports whether the product p·q (word kernels as given) must
-// fill the row → p-class probe table.
-func (p *Partition) needsProbe(q *Partition, word bool) bool {
-	return q.numSparse() > 0 || (!word && len(q.bitLens) > 0)
-}
+//
+// Precondition of Product, ProductCount and ProductParallel: both operands
+// partition the same relation state, so their extents are equal and their
+// bitmaps word-aligned. One partition cache at one state (PLICounter) only
+// ever multiplies such operands.
 
 // Product computes the partition of X∪Q from the partitions of X and Q using
 // the stripped-product algorithm (TANE) over the flat layout, dispatching
@@ -44,18 +35,17 @@ func (p *Partition) Product(q *Partition, scratch *productScratch) *Partition {
 	if nq == 0 || p.NumStrippedClasses() == 0 {
 		return out
 	}
-	word := p.wordEligible(q)
 	pooled := scratch == nil
 	if pooled {
 		scratch = scratchPool.Get().(*productScratch)
 	}
-	probe := p.needsProbe(q, word)
+	probe := q.numSparse() > 0
 	if probe {
 		scratch.ensure(p.probeExtent())
 		p.fillProbe(scratch.probe)
 		scratch.ensureAccum(p.NumStrippedClasses())
 	}
-	p.productRange(q, scratch, out, 0, nq, word)
+	p.productRange(q, scratch, out, 0, nq)
 	if probe {
 		p.clearProbe(scratch.probe)
 	}
@@ -69,33 +59,15 @@ func (p *Partition) Product(q *Partition, scratch *productScratch) *Partition {
 // classes [lo, hi) into out. Emission order is deterministic: q classes in
 // canonical order; within a dense q class, dense p intersections first (p
 // class order), then sparse p intersections (arena order); members ascending.
-func (p *Partition) productRange(q *Partition, s *productScratch, out *Partition, lo, hi int, word bool) {
+func (p *Partition) productRange(q *Partition, s *productScratch, out *Partition, lo, hi int) {
 	ns := q.numSparse()
 	for i := lo; i < hi; i++ {
 		if i < ns {
 			p.emitProbe(q.arena[q.offs[i]:q.offs[i+1]], s, out)
-			continue
-		}
-		if !word {
-			p.emitProbe(q.decodeDense(i-ns, s), s, out)
-			continue
-		}
-		p.emitDense(q, i-ns, s, out)
-	}
-}
-
-// decodeDense materialises dense class d's members into the scratch buffer.
-func (q *Partition) decodeDense(d int, s *productScratch) []int32 {
-	buf := s.buf[:0]
-	for wi, w := range q.denseWords(d) {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			buf = append(buf, int32(wi<<6+b))
-			w &^= 1 << b
+		} else {
+			p.emitDense(q, i-ns, s, out)
 		}
 	}
-	s.buf = buf
-	return buf
 }
 
 // emitProbe is the probe-scatter kernel: split one q class by the p-class
@@ -179,21 +151,13 @@ func (p *Partition) emitDense(q *Partition, d int, s *productScratch, out *Parti
 // repair search materialises a child partition only when the node is actually
 // expanded. For all-dense operands the count is pure AND + popcount and
 // allocates nothing; scratch (nil for pooled) is only touched when q has
-// sparse classes or the operands are not word-aligned.
+// sparse classes.
 func (p *Partition) ProductCount(q *Partition, scratch *productScratch) int {
-	return p.numRows - p.productMerged(q, scratch)
-}
-
-// productMerged runs the count-only kernels over all of q's classes and
-// returns Σ(|c|−1) across product classes of size ≥ 2 (the stripped "merged
-// rows" total NumClasses subtracts).
-func (p *Partition) productMerged(q *Partition, scratch *productScratch) int {
 	nq := q.NumStrippedClasses()
 	if nq == 0 || p.NumStrippedClasses() == 0 {
-		return 0
+		return p.numRows
 	}
-	word := p.wordEligible(q)
-	probe := p.needsProbe(q, word)
+	probe := q.numSparse() > 0
 	pooled := false
 	if probe && scratch == nil {
 		scratch = scratchPool.Get().(*productScratch)
@@ -204,33 +168,23 @@ func (p *Partition) productMerged(q *Partition, scratch *productScratch) int {
 		p.fillProbe(scratch.probe)
 		scratch.ensureCounts(p.NumStrippedClasses())
 	}
-	merged := p.countRange(q, scratch, 0, nq, word)
+	// merged is Σ(|c|−1) across product classes of size ≥ 2: the stripped
+	// "merged rows" total NumClasses subtracts.
+	merged := 0
+	for i, ns := 0, q.numSparse(); i < nq; i++ {
+		if i < ns {
+			merged += p.countProbe(q.arena[q.offs[i]:q.offs[i+1]], scratch)
+		} else {
+			merged += p.countDense(q, i-ns)
+		}
+	}
 	if probe {
 		p.clearProbe(scratch.probe)
 	}
 	if pooled {
 		putScratch(scratch)
 	}
-	return merged
-}
-
-// countRange is productRange's count-only twin over q's canonical classes
-// [lo, hi).
-func (p *Partition) countRange(q *Partition, s *productScratch, lo, hi int, word bool) int {
-	ns := q.numSparse()
-	merged := 0
-	for i := lo; i < hi; i++ {
-		if i < ns {
-			merged += p.countProbe(q.arena[q.offs[i]:q.offs[i+1]], s)
-			continue
-		}
-		if !word {
-			merged += p.countProbe(q.decodeDense(i-ns, s), s)
-			continue
-		}
-		merged += p.countDense(q, i-ns)
-	}
-	return merged
+	return p.numRows - merged
 }
 
 // countProbe tallies intersection sizes of one q class through the probe
@@ -307,13 +261,12 @@ func (p *Partition) ProductParallel(q *Partition, workers int) *Partition {
 	if workers < 2 || p.numRows < parallelProductMinRows {
 		return p.Product(q, nil)
 	}
-	word := p.wordEligible(q)
 	if p.NumStrippedClasses() == 0 {
 		return &Partition{numRows: p.numRows, extent: p.extent}
 	}
 	var probe []int32
 	var probeScratch *productScratch
-	if p.needsProbe(q, word) {
+	if q.numSparse() > 0 {
 		probeScratch = scratchPool.Get().(*productScratch)
 		probeScratch.ensure(p.probeExtent())
 		probe = probeScratch.probe
@@ -333,7 +286,7 @@ func (p *Partition) ProductParallel(q *Partition, workers int) *Partition {
 			if probe != nil {
 				s.ensureAccum(p.NumStrippedClasses())
 			}
-			p.productRange(q, s, out, bounds[w], bounds[w+1], word)
+			p.productRange(q, s, out, bounds[w], bounds[w+1])
 			s.probe = own
 			putScratch(s)
 			parts[w] = out

@@ -2,7 +2,6 @@ package pli
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"github.com/evolvefd/evolvefd/internal/bitset"
@@ -215,32 +214,5 @@ func TestProductCountDenseZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("dense×dense ProductCount allocates %.0f objects/run, want 0", allocs)
-	}
-}
-
-// TestProductMixedExtentsFallback covers the one dispatch arm the word kernels
-// cannot serve: operands built at different extents are not word-aligned, so
-// q's dense classes are decoded and probe-scattered. Rows q never saw stay
-// singletons, so the stored classes are exactly those of the product taken
-// before the append.
-func TestProductMixedExtentsFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	r := randomRelation(rng, 2000, 2, 3)
-	p0, q := FromColumn(r, 0), FromColumn(r, 1)
-	if len(q.bitLens) == 0 {
-		t.Fatal("q has no dense classes; cut tuning changed")
-	}
-	want := p0.Product(q, nil)
-	const appended = 10
-	for i := 0; i < appended; i++ {
-		r.MustAppend(relation.String("A"), relation.String("B"))
-	}
-	p := FromColumn(r, 0)
-	got := p.Product(q, nil)
-	if !reflect.DeepEqual(got.sortedClasses(), want.sortedClasses()) {
-		t.Fatal("mixed-extent product diverged from the pre-append product")
-	}
-	if n := p.ProductCount(q, nil); n != want.NumClasses()+appended {
-		t.Fatalf("mixed-extent ProductCount = %d, want %d", n, want.NumClasses()+appended)
 	}
 }

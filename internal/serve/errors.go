@@ -12,11 +12,15 @@ import (
 var errBadRequest = errors.New("serve: bad request")
 
 // classify maps an error to its stable status code and machine-readable
-// code string via errors.Is against the facade sentinels — never by
-// matching message text. Unrecognised errors are internal: surfacing them
-// as 500 rather than mislabelling them keeps the mapping honest.
+// code string via errors.Is against the facade sentinels (errors.As for the
+// body-size bound) — never by matching message text. Unrecognised errors are
+// internal: surfacing them as 500 rather than mislabelling them keeps the
+// mapping honest.
 func classify(err error) (status int, code string) {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, "payload_too_large"
 	case errors.Is(err, ErrUnknownTenant):
 		return http.StatusNotFound, "unknown_tenant"
 	case errors.Is(err, evolvefd.ErrUnknownFD):

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -102,12 +103,23 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: err.Error()}})
 }
 
-// decode parses a JSON request body strictly: unknown fields are bad
-// requests, not silent typos.
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// Request bodies are bounded: a tenant upload carries a whole CSV (the
+// benchmark's are ~35 MB), every other body a batch of rows or names.
+const (
+	maxCreateBody = 1 << 30
+	maxBody       = 64 << 20
+)
+
+// decode parses a JSON request body of at most limit bytes strictly: unknown
+// fields are bad requests, not silent typos.
+func decode(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return fmt.Errorf("serve: body: %w", tooLarge)
+		}
 		return fmt.Errorf("%w: body: %v", errBadRequest, err)
 	}
 	return nil
@@ -134,7 +146,7 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req CreateRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, maxCreateBody, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -174,7 +186,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AppendRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, maxBody, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -197,7 +209,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DeleteRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, maxBody, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -215,7 +227,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req UpdateRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, maxBody, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -238,7 +250,7 @@ func (s *Server) handleDefine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DefineRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, maxBody, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -256,7 +268,7 @@ func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DropRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, maxBody, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -305,7 +317,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RepairRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, maxBody, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -332,7 +344,7 @@ func (s *Server) handleAccept(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AcceptRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, maxBody, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}

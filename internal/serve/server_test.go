@@ -3,11 +3,15 @@ package serve
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	evolvefd "github.com/evolvefd/evolvefd"
@@ -231,5 +235,42 @@ func TestClassifyInternal(t *testing.T) {
 	status, code := classify(errors.New("novel failure"))
 	if status != http.StatusInternalServerError || code != "internal" {
 		t.Fatalf("classify(novel) = %d %q, want 500 internal", status, code)
+	}
+}
+
+func TestClassifyPayloadTooLarge(t *testing.T) {
+	status, code := classify(fmt.Errorf("serve: body: %w", &http.MaxBytesError{Limit: maxBody}))
+	if status != http.StatusRequestEntityTooLarge || code != "payload_too_large" {
+		t.Fatalf("classify(MaxBytesError) = %d %q, want 413 payload_too_large", status, code)
+	}
+}
+
+// TestOversizedAppendRefused: a body past the bound is refused with the typed
+// 413 before any of it is applied. The body is valid JSON for one row, padded
+// with whitespace, so it would append if the bound were not enforced.
+func TestOversizedAppendRefused(t *testing.T) {
+	reg := NewRegistry(RegistryOptions{})
+	defer reg.CloseAll()
+	tenant, err := reg.Create("big", CreateRequest{CSV: goldenCSV})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := tenant.s.LiveRows()
+	body := io.MultiReader(
+		strings.NewReader(`{"rows":[["w","9","s","t"]`),
+		strings.NewReader(strings.Repeat(" ", maxBody)),
+		strings.NewReader(`]}`),
+	)
+	rec := httptest.NewRecorder()
+	New(reg).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/big/append", body))
+	var got ErrorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatalf("response %q: %v", rec.Body.Bytes(), err)
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge || got.Error.Code != "payload_too_large" {
+		t.Fatalf("oversized append = %d %q, want 413 payload_too_large", rec.Code, got.Error.Code)
+	}
+	if after := tenant.s.LiveRows(); after != before {
+		t.Fatalf("refused append changed live rows %d → %d", before, after)
 	}
 }

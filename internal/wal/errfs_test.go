@@ -43,7 +43,7 @@ func TestStickyFailedFsync(t *testing.T) {
 	// On disk: the pre-failure record, plus at most the record whose fsync
 	// failed (its bytes were written; only their durability is unknown).
 	// Nothing appended after the failure may ever reach the file.
-	payloads, _, _, err := ReadLog(LogPath(dir, 1))
+	payloads, _, _, err := ReadLogFS(nil, LogPath(dir, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestStickyFailedWrite(t *testing.T) {
 		t.Fatalf("append after tear: %v, want sticky %v", err, boom)
 	}
 	l.Close()
-	payloads, valid, size, err := ReadLog(LogPath(dir, 1))
+	payloads, valid, size, err := ReadLogFS(nil, LogPath(dir, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +90,10 @@ func TestStickyFailedWrite(t *testing.T) {
 	if valid >= size {
 		t.Fatalf("valid %d, size %d: the torn tail should be visible", valid, size)
 	}
-	if err := TruncateTorn(LogPath(dir, 1), valid); err != nil {
+	if err := TruncateTornFS(nil, LogPath(dir, 1), valid); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, size, _ := ReadLog(LogPath(dir, 1)); size != valid {
+	if _, _, size, _ := ReadLogFS(nil, LogPath(dir, 1)); size != valid {
 		t.Fatalf("truncate left %d bytes, want %d", size, valid)
 	}
 }
@@ -120,7 +120,7 @@ func TestDiskFull(t *testing.T) {
 		t.Fatalf("append after full disk: %v, want sticky ENOSPC", err)
 	}
 	l.Close()
-	payloads, valid, size, err := ReadLog(LogPath(dir, 1))
+	payloads, valid, size, err := ReadLogFS(nil, LogPath(dir, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestFlipBitOnRead(t *testing.T) {
 	dir := t.TempDir()
 	efs := NewErrFS(nil)
 	path := LogPath(dir, 1)
-	l, err := Create(path, 1, true)
+	l, err := CreateFS(nil, path, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestFlipBitOnRead(t *testing.T) {
 		t.Fatal("CorruptTail did not classify a bit-flipped record as corrupt")
 	}
 	// The file underneath is untouched.
-	if payloads, _, _, _ := ReadLog(path); len(payloads) != 3 {
+	if payloads, _, _, _ := ReadLogFS(nil, path); len(payloads) != 3 {
 		t.Fatalf("underlying file damaged: %d records", len(payloads))
 	}
 }
@@ -234,7 +234,7 @@ func TestPins(t *testing.T) {
 	if min, _ := MinPinned(nil, dir); min != 7 {
 		t.Fatalf("after f2 advanced: MinPinned = %d, want 7", min)
 	}
-	snaps, logs, err := ListStates(dir)
+	snaps, logs, err := ListStatesFS(nil, dir)
 	if err != nil || len(snaps) != 0 || len(logs) != 0 {
 		t.Fatalf("pins leaked into ListStates: %v %v %v", snaps, logs, err)
 	}
@@ -254,7 +254,7 @@ func TestPins(t *testing.T) {
 func TestVerifySnapshot(t *testing.T) {
 	dir := t.TempDir()
 	snap := snapshotFixture(t)
-	if err := WriteSnapshot(dir, snap, true); err != nil {
+	if err := WriteSnapshotFS(nil, dir, snap, true); err != nil {
 		t.Fatal(err)
 	}
 	if !VerifySnapshot(nil, dir, snap.Seq) {
@@ -268,7 +268,7 @@ func TestVerifySnapshot(t *testing.T) {
 	if VerifySnapshot(efs, dir, snap.Seq) {
 		t.Fatal("bit-flipped snapshot verified")
 	}
-	if err := WriteFileAtomic(SnapshotPath(dir, 99), []byte("EVFDSN"), false); err != nil {
+	if err := WriteFileAtomicFS(nil, SnapshotPath(dir, 99), []byte("EVFDSN"), false); err != nil {
 		t.Fatal(err)
 	}
 	if VerifySnapshot(nil, dir, 99) {

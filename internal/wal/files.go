@@ -36,14 +36,9 @@ func PinPath(dir, id string) string {
 	return filepath.Join(dir, pinPrefix+id+pinSuffix)
 }
 
-// ListStates scans dir and returns the snapshot and log sequence numbers
+// ListStatesFS scans dir and returns the snapshot and log sequence numbers
 // present, each sorted ascending. Unrelated files (pins included) are
 // ignored.
-func ListStates(dir string) (snaps, logs []uint64, err error) {
-	return ListStatesFS(nil, dir)
-}
-
-// ListStatesFS is ListStates over an injectable filesystem.
 func ListStatesFS(fsys FS, dir string) (snaps, logs []uint64, err error) {
 	names, err := orFS(fsys).ReadDir(dir)
 	if err != nil {
@@ -117,13 +112,8 @@ func MinPinned(fsys FS, dir string) (uint64, bool) {
 	return min, found
 }
 
-// Prune removes every snapshot and log file whose sequence is below keep.
+// PruneFS removes every snapshot and log file whose sequence is below keep.
 // Removal failures are ignored — stale generations are garbage, not state.
-func Prune(dir string, keep uint64) {
-	PruneFS(nil, dir, keep)
-}
-
-// PruneFS is Prune over an injectable filesystem.
 func PruneFS(fsys FS, dir string, keep uint64) {
 	f := orFS(fsys)
 	snaps, logs, err := ListStatesFS(f, dir)
@@ -142,15 +132,10 @@ func PruneFS(fsys FS, dir string, keep uint64) {
 	}
 }
 
-// WriteFileAtomic writes data to path via a temp file in the same directory
+// WriteFileAtomicFS writes data to path via a temp file in the same directory
 // and a rename, so path either holds the old content or all of the new one —
 // never a prefix. With fsync, the file is synced before the rename and the
 // directory after it, making the swap durable, not just atomic.
-func WriteFileAtomic(path string, data []byte, fsync bool) error {
-	return WriteFileAtomicFS(nil, path, data, fsync)
-}
-
-// WriteFileAtomicFS is WriteFileAtomic over an injectable filesystem.
 func WriteFileAtomicFS(fsys FS, path string, data []byte, fsync bool) error {
 	f := orFS(fsys)
 	dir := filepath.Dir(path)

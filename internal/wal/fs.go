@@ -9,7 +9,8 @@ import (
 // FS abstracts the filesystem operations the durability and replication
 // layers perform, so fault-injection tests (see ErrFS) can interpose on
 // every write, fsync and read the write-ahead log, the snapshots and a
-// follower's tail reads issue. The production implementation is OS.
+// follower's tail reads issue. The production implementation is OS, which
+// every …FS function of this package also uses when handed a nil FS.
 //
 // The surface is deliberately the WAL's needs, not a general VFS: append
 // writers, whole-file reads, atomic rename, directory listing. Anything the
@@ -20,7 +21,7 @@ type FS interface {
 	Create(path string) (File, error)
 	// OpenAppend opens path for appending, creating it if absent.
 	OpenAppend(path string) (File, error)
-	// CreateTemp creates a temp file in dir for WriteFileAtomic, returning
+	// CreateTemp creates a temp file in dir for WriteFileAtomicFS, returning
 	// the handle and its name.
 	CreateTemp(dir, pattern string) (File, string, error)
 	// ReadFile reads the whole file.

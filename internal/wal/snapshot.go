@@ -316,23 +316,13 @@ func (r *reader) ints(what string) []int {
 	return out
 }
 
-// WriteSnapshot encodes snap and writes it to its sequence-numbered path
+// WriteSnapshotFS encodes snap and writes it to its sequence-numbered path
 // under dir, atomically and (unless noFsync) durably.
-func WriteSnapshot(dir string, snap *Snapshot, noFsync bool) error {
-	return WriteSnapshotFS(nil, dir, snap, noFsync)
-}
-
-// WriteSnapshotFS is WriteSnapshot over an injectable filesystem.
 func WriteSnapshotFS(fsys FS, dir string, snap *Snapshot, noFsync bool) error {
 	return WriteFileAtomicFS(fsys, SnapshotPath(dir, snap.Seq), EncodeSnapshot(snap), !noFsync)
 }
 
-// ReadSnapshot loads and decodes snapshot seq from dir.
-func ReadSnapshot(dir string, seq uint64) (*Snapshot, error) {
-	return ReadSnapshotFS(nil, dir, seq)
-}
-
-// ReadSnapshotFS is ReadSnapshot over an injectable filesystem.
+// ReadSnapshotFS loads and decodes snapshot seq from dir.
 func ReadSnapshotFS(fsys FS, dir string, seq uint64) (*Snapshot, error) {
 	data, err := orFS(fsys).ReadFile(SnapshotPath(dir, seq))
 	if err != nil {

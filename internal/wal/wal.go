@@ -29,15 +29,10 @@ type Log struct {
 	err     error
 }
 
-// Create creates a fresh log file at path (which must not exist — log
+// CreateFS creates a fresh log file at path (which must not exist — log
 // sequence numbers are never reused). groupCommit ≤ 1 means every record is
 // flushed synchronously; noFsync skips the fsync for tests and benchmarks
 // that measure everything but the disk.
-func Create(path string, groupCommit int, noFsync bool) (*Log, error) {
-	return CreateFS(nil, path, groupCommit, noFsync)
-}
-
-// CreateFS is Create over an injectable filesystem (nil means the real one).
 func CreateFS(fsys FS, path string, groupCommit int, noFsync bool) (*Log, error) {
 	f, err := orFS(fsys).Create(path)
 	if err != nil {
@@ -46,15 +41,10 @@ func CreateFS(fsys FS, path string, groupCommit int, noFsync bool) (*Log, error)
 	return newLog(f, path, groupCommit, noFsync), nil
 }
 
-// OpenAppend opens an existing log file (creating it if absent, for the
+// OpenAppendFS opens an existing log file (creating it if absent, for the
 // crash-between-snapshot-and-rotation window) for appending. The caller must
-// have truncated any torn tail first (TruncateTorn), or the appended records
+// have truncated any torn tail first (TruncateTornFS), or the appended records
 // would hide behind it forever.
-func OpenAppend(path string, groupCommit int, noFsync bool) (*Log, error) {
-	return OpenAppendFS(nil, path, groupCommit, noFsync)
-}
-
-// OpenAppendFS is OpenAppend over an injectable filesystem.
 func OpenAppendFS(fsys FS, path string, groupCommit int, noFsync bool) (*Log, error) {
 	f, err := orFS(fsys).OpenAppend(path)
 	if err != nil {
@@ -136,15 +126,10 @@ func (l *Log) Close() error {
 	return closeErr
 }
 
-// ReadLog reads a log file and splits it into its valid record prefix,
+// ReadLogFS reads a log file and splits it into its valid record prefix,
 // returning the payloads and the byte length of that prefix. A torn or
 // corrupt tail is not an error — valid simply stops short of the file size;
 // only I/O failures are.
-func ReadLog(path string) (payloads [][]byte, valid int64, size int64, err error) {
-	return ReadLogFS(nil, path)
-}
-
-// ReadLogFS is ReadLog over an injectable filesystem.
 func ReadLogFS(fsys FS, path string) (payloads [][]byte, valid int64, size int64, err error) {
 	data, err := orFS(fsys).ReadFile(path)
 	if err != nil {
@@ -154,13 +139,8 @@ func ReadLogFS(fsys FS, path string) (payloads [][]byte, valid int64, size int64
 	return p, int64(v), int64(len(data)), nil
 }
 
-// TruncateTorn truncates the log file at path to valid bytes, discarding a
+// TruncateTornFS truncates the log file at path to valid bytes, discarding a
 // torn tail so appended records follow the last complete one.
-func TruncateTorn(path string, valid int64) error {
-	return TruncateTornFS(nil, path, valid)
-}
-
-// TruncateTornFS is TruncateTorn over an injectable filesystem.
 func TruncateTornFS(fsys FS, path string, valid int64) error {
 	return orFS(fsys).Truncate(path, valid)
 }

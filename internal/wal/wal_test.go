@@ -123,7 +123,7 @@ func TestRecordFramingMatrix(t *testing.T) {
 func TestLogGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal-test.log")
-	l, err := Create(path, 3, true)
+	l, err := CreateFS(nil, path, 3, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestLogGroupCommit(t *testing.T) {
 		}
 	}
 	// 7 records at group 3: two full groups hit the file, one buffers.
-	got, _, _, err := ReadLog(path)
+	got, _, _, err := ReadLogFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestLogGroupCommit(t *testing.T) {
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, valid, size, err := ReadLog(path)
+	got, valid, size, err := ReadLogFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestLogGroupCommit(t *testing.T) {
 func TestTruncateTornAndAppend(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal-torn.log")
-	l, err := Create(path, 1, true)
+	l, err := CreateFS(nil, path, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,23 +174,23 @@ func TestTruncateTornAndAppend(t *testing.T) {
 	// Tear the final record in half, recover, and append a fresh one.
 	data, _ := os.ReadFile(path)
 	os.WriteFile(path, data[:len(data)-3], 0o644)
-	_, valid, size, err := ReadLog(path)
+	_, valid, size, err := ReadLogFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if valid >= size {
 		t.Fatalf("tear not detected: valid %d size %d", valid, size)
 	}
-	if err := TruncateTorn(path, valid); err != nil {
+	if err := TruncateTornFS(nil, path, valid); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := OpenAppend(path, 1, true)
+	l2, err := OpenAppendFS(nil, path, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l2.Append(EncodeOp(nil, Op{Kind: OpDelete, Rows: []int{1}}))
 	l2.Close()
-	payloads, valid, size, err := ReadLog(path)
+	payloads, valid, size, err := ReadLogFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,12 +205,12 @@ func TestTruncateTornAndAppend(t *testing.T) {
 func TestLogCreateRefusesExisting(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal-x.log")
-	l, err := Create(path, 1, true)
+	l, err := CreateFS(nil, path, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
-	if _, err := Create(path, 1, true); err == nil {
+	if _, err := CreateFS(nil, path, 1, true); err == nil {
 		t.Fatal("Create reused an existing log file")
 	}
 }
@@ -309,10 +309,10 @@ func TestSnapshotCorruptionMatrix(t *testing.T) {
 func TestWriteSnapshotAtomic(t *testing.T) {
 	dir := t.TempDir()
 	snap := snapshotFixture(t)
-	if err := WriteSnapshot(dir, snap, true); err != nil {
+	if err := WriteSnapshotFS(nil, dir, snap, true); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(dir, snap.Seq)
+	got, err := ReadSnapshotFS(nil, dir, snap.Seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,14 +321,14 @@ func TestWriteSnapshotAtomic(t *testing.T) {
 	}
 	// Overwrite with new content; no temp files may linger.
 	snap.Generation = 99
-	if err := WriteSnapshot(dir, snap, true); err != nil {
+	if err := WriteSnapshotFS(nil, dir, snap, true); err != nil {
 		t.Fatal(err)
 	}
 	entries, _ := os.ReadDir(dir)
 	if len(entries) != 1 {
 		t.Fatalf("dir holds %d entries after overwrite", len(entries))
 	}
-	got, err = ReadSnapshot(dir, snap.Seq)
+	got, err = ReadSnapshotFS(nil, dir, snap.Seq)
 	if err != nil || got.Generation != 99 {
 		t.Fatalf("after overwrite: gen %d, %v", got.Generation, err)
 	}
@@ -337,23 +337,23 @@ func TestWriteSnapshotAtomic(t *testing.T) {
 func TestListStatesAndPrune(t *testing.T) {
 	dir := t.TempDir()
 	for _, seq := range []uint64{1, 2, 3} {
-		if err := WriteFileAtomic(SnapshotPath(dir, seq), []byte("s"), false); err != nil {
+		if err := WriteFileAtomicFS(nil, SnapshotPath(dir, seq), []byte("s"), false); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteFileAtomic(LogPath(dir, seq), []byte("l"), false); err != nil {
+		if err := WriteFileAtomicFS(nil, LogPath(dir, seq), []byte("l"), false); err != nil {
 			t.Fatal(err)
 		}
 	}
 	os.WriteFile(filepath.Join(dir, "unrelated.txt"), []byte("x"), 0o644)
-	snaps, logs, err := ListStates(dir)
+	snaps, logs, err := ListStatesFS(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(snaps, []uint64{1, 2, 3}) || !reflect.DeepEqual(logs, []uint64{1, 2, 3}) {
 		t.Fatalf("ListStates = %v, %v", snaps, logs)
 	}
-	Prune(dir, 2)
-	snaps, logs, _ = ListStates(dir)
+	PruneFS(nil, dir, 2)
+	snaps, logs, _ = ListStatesFS(nil, dir)
 	if !reflect.DeepEqual(snaps, []uint64{2, 3}) || !reflect.DeepEqual(logs, []uint64{2, 3}) {
 		t.Fatalf("after prune: %v, %v", snaps, logs)
 	}

@@ -131,23 +131,9 @@ func (f *Follower) bootstrap(minSeq uint64) (*Session, uint64, error) {
 	if len(snaps) == 0 {
 		return nil, 0, fmt.Errorf("evolvefd: no snapshot in %s (not a leader directory?)", f.dir)
 	}
-	var firstErr error
-	for i := len(snaps) - 1; i >= 0; i-- {
-		if snaps[i] <= minSeq {
-			break
-		}
-		snap, err := wal.ReadSnapshotFS(f.opts.FS, f.dir, snaps[i])
-		var s *Session
-		if err == nil {
-			s, err = restoreSnapshot(snap)
-		}
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("snapshot %d: %w", snaps[i], err)
-			}
-			continue
-		}
-		return s, snaps[i], nil
+	s, seq, _, firstErr := restoreNewestSnapshot(f.opts.FS, f.dir, snaps, minSeq)
+	if s != nil {
+		return s, seq, nil
 	}
 	if firstErr == nil {
 		firstErr = fmt.Errorf("no snapshot past %d", minSeq)
