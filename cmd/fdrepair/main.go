@@ -64,7 +64,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		minimal     = fs.Bool("minimal", false, "prune repairs that are supersets of other repairs")
 		balanced    = fs.Bool("balanced", false, "use the §4.4 objective (size + inconsistency + |goodness|) instead of minimal-first")
 		strategy    = fs.String("strategy", "pli", "counting strategy: pli, hash, sort, or sql")
-		interactive = fs.Bool("interactive", false, "ask the designer to accept/skip each proposal")
+		interactive = fs.Bool("interactive", false, "ask the designer to accept/skip/drop each proposal (-strategy is ignored)")
 		discover    = fs.Bool("discover", false, "list minimal exact FDs instead of repairing (-max-lhs bounds antecedents)")
 		maxLHS      = fs.Int("max-lhs", 2, "antecedent size bound for -discover and the -watch 'disc' command")
 		watch       = fs.Bool("watch", false, "streaming REPL: append tuples and re-check incrementally (-strategy is ignored)")
@@ -115,6 +115,18 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "loaded %s: %d attributes × %d tuples\n", rel.Name(), rel.NumCols(), rel.NumRows())
 	}
 
+	// -watch and -interactive drive a Session, which always counts
+	// incrementally; -strategy only selects the batch and -discover counter.
+	sessionOpts := evolvefd.Options{
+		FirstOnly:   !*all,
+		MaxAdded:    *maxAdded,
+		MinimalOnly: *minimal,
+		Balanced:    *balanced,
+		Parallelism: *parallelism,
+	}
+	if *maxGoodness >= 0 {
+		sessionOpts.MaxGoodness = evolvefd.GoodnessLimit(*maxGoodness)
+	}
 	if *watch {
 		var session *evolvefd.Session
 		switch {
@@ -141,37 +153,20 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			session = evolvefd.NewSession(rel)
 			fmt.Fprintln(stdout, "note: state is ephemeral — set -data-dir to persist this session across restarts")
 		}
-		// Decompose multi-consequent FDs exactly like the batch and
-		// interactive modes do, so -watch sees the same dependency set.
-		schema := session.Relation().Schema()
-		for i, spec := range fds {
-			fd, err := core.ParseFD(schema, "F"+strconv.Itoa(i+1), spec)
-			if err != nil {
-				return err
-			}
-			for _, part := range fd.Decompose() {
-				body := fmt.Sprintf("[%s] -> [%s]",
-					strings.Join(schema.NameSet(part.X), ", "),
-					strings.Join(schema.NameSet(part.Y), ", "))
-				if err := session.Define(part.Label, body); err != nil {
-					return err
-				}
-			}
-		}
-		watchOpts := evolvefd.Options{
-			FirstOnly:   !*all,
-			MaxAdded:    *maxAdded,
-			MinimalOnly: *minimal,
-			Balanced:    *balanced,
-			Parallelism: *parallelism,
-		}
-		if *maxGoodness >= 0 {
-			watchOpts.MaxGoodness = evolvefd.GoodnessLimit(*maxGoodness)
+		if err := defineAll(session, fds); err != nil {
+			return err
 		}
 		defer trapSignals(session, stdout)()
-		return runWatch(stdin, stdout, session, watchOpts, *maxLHS)
+		return runWatch(stdin, stdout, session, sessionOpts, *maxLHS)
 	}
 
+	if *interactive && !*discover { // -discover wins over -interactive
+		session := evolvefd.NewSession(rel)
+		if err := defineAll(session, fds); err != nil {
+			return err
+		}
+		return runInteractive(stdin, stdout, session, sessionOpts)
+	}
 	counter, err := makeCounter(rel, *strategy)
 	if err != nil {
 		return err
@@ -179,13 +174,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if *discover {
 		return runDiscover(stdout, counter, *maxLHS)
 	}
-	var parsed []core.FD
-	for i, spec := range fds {
-		fd, err := core.ParseFD(rel.Schema(), "F"+strconv.Itoa(i+1), spec)
-		if err != nil {
-			return err
-		}
-		parsed = append(parsed, fd.Decompose()...)
+	parsed, err := parseAll(rel.Schema(), fds)
+	if err != nil {
+		return err
 	}
 
 	opts := core.RepairOptions{
@@ -202,10 +193,40 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		opts.Candidates.MaxGoodness = maxGoodness
 	}
 
-	if *interactive {
-		return runInteractive(stdin, stdout, counter, parsed, opts)
-	}
 	return runBatch(stdout, counter, parsed, opts)
+}
+
+// parseAll parses the -fd specs as F1, F2, …, decomposing multi-attribute
+// consequents into one FD per consequent attribute (F2.1, F2.2, …).
+func parseAll(schema *relation.Schema, specs []string) ([]core.FD, error) {
+	var parsed []core.FD
+	for i, spec := range specs {
+		fd, err := core.ParseFD(schema, "F"+strconv.Itoa(i+1), spec)
+		if err != nil {
+			return nil, err
+		}
+		parsed = append(parsed, fd.Decompose()...)
+	}
+	return parsed, nil
+}
+
+// defineAll declares the -fd specs on a session, so -watch and -interactive
+// see the dependency set the batch mode parses.
+func defineAll(session *evolvefd.Session, specs []string) error {
+	schema := session.Relation().Schema()
+	parsed, err := parseAll(schema, specs)
+	if err != nil {
+		return err
+	}
+	for _, fd := range parsed {
+		body := fmt.Sprintf("[%s] -> [%s]",
+			strings.Join(schema.NameSet(fd.X), ", "),
+			strings.Join(schema.NameSet(fd.Y), ", "))
+		if err := session.Define(fd.Label, body); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // runDiscover lists the minimal exact FDs of the instance — the §2
@@ -284,44 +305,76 @@ func runBatch(w io.Writer, counter pli.Counter, fds []core.FD, opts core.RepairO
 	return nil
 }
 
-// runInteractive drives the semi-automatic designer loop on a terminal:
-// for each violated FD the proposals are printed and the designer answers
-// with a number (accept that proposal), "s" (skip) or "d" (drop the FD).
-func runInteractive(stdin io.Reader, w io.Writer, counter pli.Counter, fds []core.FD, opts core.RepairOptions) error {
-	schema := counter.Relation().Schema()
+// runInteractive drives the semi-automatic designer loop on a terminal: one
+// validation round over the session. For each violated FD the proposals are
+// printed and the designer answers with a number (accept that proposal),
+// "s" (skip) or "d" (drop the FD).
+func runInteractive(stdin io.Reader, w io.Writer, s *evolvefd.Session, opts evolvefd.Options) error {
 	reader := bufio.NewScanner(stdin)
-	advisor := core.NewAdvisor(counter, fds, core.ScopeAllAttributes, opts)
-	steps := advisor.RunSession(func(v core.RankedFD, repairs []core.Repair) (core.Decision, int) {
-		fmt.Fprintf(w, "\nviolated: %s  (%s)\n", v.FD.FormatWith(schema), v.Measures)
+	var summary strings.Builder
+	for i, v := range s.Check() {
+		repairs, err := s.Repair(v.Label, opts)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "\nviolated: %s  (%s)\n", v.FD, measuresText(v.Measures))
+		fmt.Fprintf(&summary, "%d. %s  (%s, rank %.3f)\n", i+1, v.FD, measuresText(v.Measures), v.Rank)
 		if len(repairs) == 0 {
 			fmt.Fprintln(w, "  no repair exists; [s]kip or [d]rop?")
 		} else {
-			for i, rep := range repairs {
-				fmt.Fprintf(w, "  [%d] add {%s}  (%s)\n", i+1, schema.FormatSet(rep.Added), rep.Measures)
+			for j, rep := range repairs {
+				fmt.Fprintf(w, "  [%d] add {%s}  (%s)\n", j+1, strings.Join(rep.Added, ","), measuresText(rep.Measures))
+				fmt.Fprintf(&summary, "     candidate +{%s} (%s)\n", strings.Join(rep.Added, ","), measuresText(rep.Measures))
 			}
 			fmt.Fprintln(w, "  accept which? number, [s]kip, or [d]rop")
 		}
-		for reader.Scan() {
-			answer := strings.TrimSpace(strings.ToLower(reader.Text()))
-			switch {
-			case answer == "s" || answer == "":
-				return core.DecisionSkip, 0
-			case answer == "d":
-				return core.DecisionDrop, 0
-			default:
-				if n, err := strconv.Atoi(answer); err == nil && n >= 1 && n <= len(repairs) {
-					return core.DecisionAccept, n - 1
-				}
-				fmt.Fprintln(w, "  ? number, s, or d")
+		switch choice := askDecision(reader, w, len(repairs)); {
+		case choice > 0:
+			if err := s.Accept(v.Label, repairs[choice-1]); err != nil {
+				return err
 			}
+			fmt.Fprintf(&summary, "   → accepted: %s\n", repairs[choice-1].FD)
+		case choice < 0:
+			if err := s.Drop(v.Label); err != nil {
+				return err
+			}
+			summary.WriteString("   → dropped\n")
+		default:
+			summary.WriteString("   → skipped\n")
 		}
-		return core.DecisionSkip, 0
-	})
-	fmt.Fprintf(w, "\nsession summary:\n%s", core.SessionSummary(schema, steps))
-	if advisor.Consistent() {
+	}
+	if summary.Len() == 0 {
+		summary.WriteString("all functional dependencies are satisfied\n")
+	}
+	fmt.Fprintf(w, "\nsession summary:\n%s", summary.String())
+	if s.Consistent() {
 		fmt.Fprintln(w, "all remaining dependencies are satisfied")
 	} else {
 		fmt.Fprintln(w, "some dependencies remain violated")
 	}
 	return nil
+}
+
+// askDecision reads the designer's verdict on n proposals: k ≥ 1 accepts
+// proposal k, −1 drops the FD, 0 (also on end of input) skips it.
+func askDecision(reader *bufio.Scanner, w io.Writer, n int) int {
+	for reader.Scan() {
+		switch answer := strings.TrimSpace(strings.ToLower(reader.Text())); answer {
+		case "s", "":
+			return 0
+		case "d":
+			return -1
+		default:
+			if k, err := strconv.Atoi(answer); err == nil && k >= 1 && k <= n {
+				return k
+			}
+			fmt.Fprintln(w, "  ? number, s, or d")
+		}
+	}
+	return 0
+}
+
+// measuresText renders measures compactly, e.g. "c=0.500 (2/4), g=-2".
+func measuresText(m evolvefd.Measures) string {
+	return fmt.Sprintf("c=%.3f (%s), g=%d", m.Confidence, m.ConfidenceRatio, m.Goodness)
 }

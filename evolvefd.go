@@ -124,37 +124,37 @@ func DefaultOptions() Options { return Options{} }
 // Measures are the paper's confidence and goodness of one FD on the data.
 type Measures struct {
 	// Confidence is |π_X| / |π_XY| ∈ (0,1]; 1 means the FD is exact.
-	Confidence float64
+	Confidence float64 `json:"confidence"`
 	// ConfidenceRatio renders the underlying counts, e.g. "2/4".
-	ConfidenceRatio string
+	ConfidenceRatio string `json:"confidence_ratio"`
 	// Goodness is |π_X| − |π_Y|; 0 together with confidence 1 means the FD
 	// induces a bijection between antecedent and consequent clusters.
-	Goodness int
+	Goodness int `json:"goodness"`
 	// Exact reports whether the FD holds on the instance.
-	Exact bool
+	Exact bool `json:"exact"`
 }
 
 // Violation is one FD the data violates, with its repair-priority rank.
 type Violation struct {
 	// Label is the FD's name as defined in the session.
-	Label string
+	Label string `json:"label"`
 	// FD renders the dependency with attribute names.
-	FD string
+	FD string `json:"fd"`
 	// Measures are the FD's measures on the instance.
-	Measures Measures
+	Measures Measures `json:"measures"`
 	// Rank is the §4.1 repair priority; higher repairs first.
-	Rank float64
+	Rank float64 `json:"rank"`
 }
 
 // Suggestion is one proposed repair of a violated FD.
 type Suggestion struct {
 	// Added lists the attribute names to add to the antecedent, in schema
 	// order.
-	Added []string
+	Added []string `json:"added"`
 	// FD renders the repaired dependency.
-	FD string
+	FD string `json:"fd"`
 	// Measures are the repaired FD's measures; Exact is true.
-	Measures Measures
+	Measures Measures `json:"measures"`
 }
 
 // Session owns one relation instance and a mutable set of named FDs — the
@@ -349,18 +349,20 @@ func (s *Session) CachedMeasures() int {
 type CompactionStats struct {
 	// Reclaimed counts the tombstones squeezed out; 0 means the instance was
 	// already clean and nothing changed.
-	Reclaimed int
+	Reclaimed int `json:"reclaimed"`
 	// OldRows and NewRows are the physical row extents before and after.
-	OldRows, NewRows int
+	OldRows int `json:"old_rows"`
+	NewRows int `json:"new_rows"`
 	// Moved counts the live rows whose ids shifted — the remap work every
 	// incremental layer paid, as opposed to the live rows before the first
 	// tombstone, which kept their ids for free.
-	Moved int
+	Moved int `json:"moved"`
 	// Epoch is the storage epoch after the call.
-	Epoch uint64
+	Epoch uint64 `json:"epoch"`
 	// Duration is the wall-clock cost of the compaction, remapping of the
-	// session's incremental state included.
-	Duration time.Duration
+	// session's incremental state included. It stays off the wire: response
+	// bodies are canonical.
+	Duration time.Duration `json:"-"`
 }
 
 // Compact squeezes accumulated tombstones out of the instance's segmented
@@ -473,22 +475,28 @@ func (s *Session) DisableAutoCompact() {
 type MemStats struct {
 	// PhysicalRows, LiveRows and Tombstones describe the row extent;
 	// TombstoneRatio is Tombstones/PhysicalRows.
-	PhysicalRows, LiveRows, Tombstones int
-	TombstoneRatio                     float64
+	PhysicalRows   int     `json:"physical_rows"`
+	LiveRows       int     `json:"live_rows"`
+	Tombstones     int     `json:"tombstones"`
+	TombstoneRatio float64 `json:"tombstone_ratio"`
 	// Segments, DirtySegments and SegmentRows describe the storage segments
 	// (DirtySegments hold at least one tombstone).
-	Segments, DirtySegments, SegmentRows int
+	Segments      int `json:"segments"`
+	DirtySegments int `json:"dirty_segments"`
+	SegmentRows   int `json:"segment_rows"`
 	// Epoch is the storage epoch; Compactions how many compactions the
 	// session has performed (manual and automatic).
-	Epoch       uint64
-	Compactions uint64
+	Epoch       uint64 `json:"epoch"`
+	Compactions uint64 `json:"compactions"`
 	// StorageBytes estimates the column-store footprint; ReclaimableBytes
 	// the share a Compact would return; DictEntries the interned values.
-	StorageBytes, ReclaimableBytes int64
-	DictEntries                    int
+	StorageBytes     int64 `json:"storage_bytes"`
+	ReclaimableBytes int64 `json:"reclaimable_bytes"`
+	DictEntries      int   `json:"dict_entries"`
 	// TrackedSets counts the incrementally-maintained attribute-set indexes;
 	// CachedMeasures the generation-stamped measure entries.
-	TrackedSets, CachedMeasures int
+	TrackedSets    int `json:"tracked_sets"`
+	CachedMeasures int `json:"cached_measures"`
 }
 
 // MemStats reports the session's storage statistics — the observability
@@ -695,13 +703,13 @@ type DiscoveryOptions struct {
 type DiscoveredFD struct {
 	// FD renders the dependency with attribute names, e.g.
 	// "[Municipal] -> [AreaCode]".
-	FD string
+	FD string `json:"fd"`
 	// Spec is the same dependency in Define syntax ("Municipal -> AreaCode"),
 	// so a discovered FD can be adopted with Define(label, d.Spec).
-	Spec string
+	Spec string `json:"spec"`
 	// Antecedent and Consequent name the attributes, in schema order.
-	Antecedent []string
-	Consequent string
+	Antecedent []string `json:"antecedent"`
+	Consequent string   `json:"consequent"`
 }
 
 // SuggestionKind classifies an advisor suggestion.
@@ -720,14 +728,14 @@ const (
 // a newly-emerged minimal FD the designer may adopt, or a defined FD the
 // evolving data newly broke and the designer should repair.
 type AdvisorSuggestion struct {
-	Kind SuggestionKind
+	Kind SuggestionKind `json:"kind"`
 	// Label is the defined FD's label for broken suggestions; empty for
 	// emerged ones.
-	Label string
+	Label string `json:"label,omitempty"`
 	// FD renders the dependency with attribute names.
-	FD string
+	FD string `json:"fd"`
 	// Spec is the dependency in Define syntax (emerged suggestions only).
-	Spec string
+	Spec string `json:"spec,omitempty"`
 }
 
 // DiscoveryStats mirrors the incremental discoverer's effort counters plus
@@ -795,7 +803,7 @@ func (s *Session) DiscoverIncremental(opts DiscoveryOptions) ([]DiscoveredFD, er
 // and defined FDs the data newly violates are flagged for Repair. The first
 // call after seeding reports changes since the seed; if no discoverer
 // exists yet, one is seeded with default options and the call reports
-// nothing.
+// nothing — as an empty, never nil, slice, so it marshals as [].
 func (s *Session) Suggestions() ([]AdvisorSuggestion, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -806,7 +814,7 @@ func (s *Session) Suggestions() ([]AdvisorSuggestion, error) {
 	}
 	cover := s.disc.Cover()
 	schema := s.rel.Schema()
-	var out []AdvisorSuggestion
+	out := []AdvisorSuggestion{}
 	seen := make(map[string]bool, len(cover))
 	for _, fd := range cover {
 		key := fd.X.Key() + "\x00" + fd.Y.Key()
@@ -964,12 +972,8 @@ func (s *Session) toDiscoveredOne(fd core.FD) DiscoveredFD {
 func (s *Session) Consistent() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	labels := make([]string, len(s.order))
-	copy(labels, s.order)
-	sort.Strings(labels)
-	for _, label := range labels {
-		m, err := s.measuresLocked(label)
-		if err != nil || !m.Exact {
+	for _, label := range s.order {
+		if !s.cache.Compute(s.fds[label]).Exact() {
 			return false
 		}
 	}

@@ -6,7 +6,7 @@
 // A telecom schema starts with the rule district → area_code. The regulator
 // then splits area codes by subscriber line type (an overlay plan), so new
 // rows violate the rule — not because they are dirty, but because the rule
-// is stale. The advisor detects the violation, proposes extensions ranked
+// is stale. The session detects the violation, proposes extensions ranked
 // by confidence and goodness, and the accepted repair district, line_type →
 // area_code captures the new reality. Run with:
 //
@@ -17,9 +17,8 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/evolvefd/evolvefd/internal/core"
+	evolvefd "github.com/evolvefd/evolvefd"
 	"github.com/evolvefd/evolvefd/internal/datasets"
-	"github.com/evolvefd/evolvefd/internal/pli"
 	"github.com/evolvefd/evolvefd/internal/relation"
 )
 
@@ -34,20 +33,20 @@ func main() {
 		{Name: "tariff", Card: 12, Salt: 4},
 	})
 
-	check := func(r *relation.Relation, label string) bool {
-		counter := pli.NewPLICounter(r)
-		fd, err := core.ParseFD(r.Schema(), "AC", "district -> area_code")
-		if err != nil {
-			log.Fatal(err)
-		}
-		m := core.Compute(counter, fd)
+	// open starts a validation session holding the stale rule and prints its
+	// measures on the instance.
+	open := func(r *relation.Relation, era string) (*evolvefd.Session, bool) {
+		s := evolvefd.NewSession(r)
+		s.MustDefine("AC", "district -> area_code")
+		m, _ := s.Measures("AC")
+		text, _ := s.FDText("AC")
 		fmt.Printf("[%s] %s: confidence %s = %.3f, goodness %d, exact=%v\n",
-			label, fd.FormatWith(r.Schema()), m.ConfidenceRatio(), m.Confidence, m.Goodness, m.Exact())
-		return m.Exact()
+			era, text, m.ConfidenceRatio, m.Confidence, m.Goodness, m.Exact)
+		return s, m.Exact
 	}
 
 	fmt.Println("== era 1: the original constraint models reality ==")
-	if !check(before, "era 1") {
+	if _, exact := open(before, "era 1"); !exact {
 		log.Fatal("era-1 data should satisfy the FD")
 	}
 
@@ -79,28 +78,38 @@ func main() {
 	}
 
 	fmt.Println("\n== era 2: overlay plan rolls out; violations accumulate ==")
-	if check(merged, "era 2") {
+	session, exact := open(merged, "era 2")
+	if exact {
 		log.Fatal("era-2 data should violate the FD")
 	}
 
-	// Periodic validation: the advisor ranks the violation and proposes
-	// evolutions. AcceptFirst plays the designer approving the top-ranked
-	// proposal.
-	counter := pli.NewPLICounter(merged)
-	fd, err := core.ParseFD(merged.Schema(), "AC", "district -> area_code")
-	if err != nil {
-		log.Fatal(err)
-	}
-	advisor := core.NewAdvisor(counter, []core.FD{fd}, core.ScopeAllAttributes,
-		core.RepairOptions{})
-	steps := advisor.RunSession(core.AcceptFirst)
+	// Periodic validation: the session ranks the violation and proposes
+	// evolutions; accepting the top-ranked proposal plays the designer.
 	fmt.Println("\n== advisor session ==")
-	fmt.Print(core.SessionSummary(merged.Schema(), steps))
-
-	if !advisor.Consistent() {
-		log.Fatal("advisor should have evolved the FD to consistency")
+	for i, v := range session.Check() {
+		fmt.Printf("%d. %s  (c=%.3f (%s), g=%d, rank %.3f)\n", i+1, v.FD,
+			v.Measures.Confidence, v.Measures.ConfidenceRatio, v.Measures.Goodness, v.Rank)
+		proposals, err := session.Repair(v.Label, evolvefd.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, p := range proposals {
+			fmt.Printf("     candidate +%v (c=%.3f (%s), g=%d)\n", p.Added,
+				p.Measures.Confidence, p.Measures.ConfidenceRatio, p.Measures.Goodness)
+		}
+		if len(proposals) == 0 {
+			log.Fatal("the violated FD should be repairable")
+		}
+		if err := session.Accept(v.Label, proposals[0]); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("   → accepted: %s\n", proposals[0].FD)
 	}
-	evolved := advisor.FDs()[0]
-	fmt.Printf("\nevolved constraint: %s\n", evolved.FormatWith(merged.Schema()))
+
+	if !session.Consistent() {
+		log.Fatal("the session should have evolved the FD to consistency")
+	}
+	evolved, _ := session.FDText("AC")
+	fmt.Printf("\nevolved constraint: %s\n", evolved)
 	fmt.Println("the constraint now encodes the overlay plan — data untouched")
 }

@@ -164,36 +164,3 @@ func TestEndToEndTPCHRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-// TestEndToEndAdvisorAgainstSessionFacade checks that the low-level Advisor
-// and the public Session facade evolve the same FD set the same way.
-func TestEndToEndAdvisorAgainstSessionFacade(t *testing.T) {
-	rel := datasets.Places()
-
-	// Facade path.
-	s := evolvefd.NewSession(rel)
-	s.MustDefine("F1", "District, Region -> AreaCode")
-	sugg, err := s.Repair("F1", evolvefd.Options{FirstOnly: true})
-	if err != nil || len(sugg) != 1 {
-		t.Fatalf("facade repair: %v %d", err, len(sugg))
-	}
-	if err := s.Accept("F1", sugg[0]); err != nil {
-		t.Fatal(err)
-	}
-	facadeText, _ := s.FDText("F1")
-
-	// Advisor path.
-	counter := pli.NewPLICounter(rel)
-	fd, err := core.ParseFD(rel.Schema(), "F1", "District, Region -> AreaCode")
-	if err != nil {
-		t.Fatal(err)
-	}
-	advisor := core.NewAdvisor(counter, []core.FD{fd}, core.ScopeAllAttributes,
-		core.RepairOptions{FirstOnly: true})
-	advisor.RunSession(core.AcceptFirst)
-	advisorText := advisor.FDs()[0].FormatWith(rel.Schema())
-
-	if facadeText != advisorText {
-		t.Fatalf("facade evolved %q but advisor evolved %q", facadeText, advisorText)
-	}
-}

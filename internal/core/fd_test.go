@@ -137,4 +137,8 @@ func TestFDString(t *testing.T) {
 	if got := anon.String(); got != "{2} -> {3}" {
 		t.Fatalf("String = %q", got)
 	}
+	// Discovery's cover is unlabelled; the facade renders it with FormatWith.
+	if got := anon.FormatWith(placesSchema(t)); got != "[Municipal] -> [AreaCode]" {
+		t.Fatalf("unlabelled FormatWith = %q", got)
+	}
 }

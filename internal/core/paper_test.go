@@ -110,6 +110,19 @@ func TestPaperSection41RepairOrder(t *testing.T) {
 	if rankedAll[0].Conflict != 0 {
 		t.Errorf("cf(F1) = %v, want 0 (F1 shares no attribute)", rankedAll[0].Conflict)
 	}
+
+	// Algorithm 1 repairs only what is violated: District -> Region holds
+	// on Places, so Violated drops it and keeps the repair order.
+	withExact := append(fds[:len(fds):len(fds)], placesFD(t, r, "F4", "District -> Region"))
+	violated := Violated(OrderFDs(counter, withExact, ScopeAllAttributes))
+	if len(violated) != len(wantOrder) {
+		t.Fatalf("Violated kept %d of 4 FDs, want %d", len(violated), len(wantOrder))
+	}
+	for i, rf := range violated {
+		if rf.FD.Label != wantOrder[i] {
+			t.Fatalf("violated[%d] = %s, want %s", i, rf.FD.Label, wantOrder[i])
+		}
+	}
 }
 
 // expectTable asserts ExtendByOne's ranked output: attribute order,

@@ -146,49 +146,76 @@ func (r *Relation) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// binReader decodes the AppendBinary layout with a sticky error, bounding
-// every length it reads by the bytes actually remaining so corrupt or fuzzed
+// BinReader decodes the binary primitives of this package's encodings —
+// bytes, uvarints, bounded counts, length-prefixed strings, values — with a
+// sticky error: after the first failure every read returns a zero value, so
+// a decoder checks Err once at its structural boundaries. It reads the
+// AppendBinary layout here and the WAL's op and snapshot payloads; every
+// length is bounded before anything is allocated, so corrupt or fuzzed
 // input cannot trigger outsized allocations.
-type binReader struct {
+type BinReader struct {
+	pkg  string
 	data []byte
 	off  int
 	err  error
 }
 
-func (b *binReader) fail(format string, args ...any) {
+// NewBinReader reads data from its front; pkg prefixes the error texts.
+func NewBinReader(pkg string, data []byte) *BinReader {
+	return &BinReader{pkg: pkg, data: data}
+}
+
+// Err returns the first failure, nil while every read succeeded.
+func (b *BinReader) Err() error { return b.err }
+
+// Rest returns the bytes not yet consumed.
+func (b *BinReader) Rest() []byte { return b.data[b.off:] }
+
+// Failf records a structural failure found by the caller, unless an earlier
+// one is already recorded.
+func (b *BinReader) Failf(format string, args ...any) {
 	if b.err == nil {
-		b.err = fmt.Errorf("relation: "+format, args...)
+		b.err = fmt.Errorf(b.pkg+": "+format, args...)
 	}
 }
 
-func (b *binReader) uvarint() uint64 {
+// Uvarint reads one unsigned varint.
+func (b *BinReader) Uvarint() uint64 {
 	if b.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(b.data[b.off:])
 	if n <= 0 {
-		b.fail("truncated varint at offset %d", b.off)
+		b.Failf("truncated varint at offset %d", b.off)
 		return 0
 	}
 	b.off += n
 	return v
 }
 
-// length reads a count whose decoded form costs at least min bytes per entry,
-// rejecting counts the remaining input cannot possibly hold.
-func (b *binReader) length(what string, min int) int {
-	v := b.uvarint()
-	if b.err != nil {
-		return 0
-	}
-	if v > uint64(len(b.data)-b.off)/uint64(min)+1 {
-		b.fail("%s count %d exceeds remaining input", what, v)
+// Count reads a non-negative integer bounded by an explicit limit.
+func (b *BinReader) Count(what string, limit uint64) int {
+	v := b.Uvarint()
+	if b.err == nil && v > limit {
+		b.Failf("%s %d exceeds bound %d", what, v, limit)
 		return 0
 	}
 	return int(v)
 }
 
-func (b *binReader) str() string {
+// Length reads a count whose decoded form costs at least min bytes per entry,
+// rejecting counts the remaining input cannot possibly hold.
+func (b *BinReader) Length(what string, min int) int {
+	v := b.Uvarint()
+	if b.err == nil && v > uint64(len(b.data)-b.off)/uint64(min)+1 {
+		b.Failf("%s count %d exceeds remaining input", what, v)
+		return 0
+	}
+	return int(v)
+}
+
+// Str reads one length-prefixed string.
+func (b *BinReader) Str() string {
 	if b.err != nil {
 		return ""
 	}
@@ -201,7 +228,8 @@ func (b *binReader) str() string {
 	return s
 }
 
-func (b *binReader) value() Value {
+// Value reads one AppendValue-encoded value.
+func (b *BinReader) Value() Value {
 	if b.err != nil {
 		return Null
 	}
@@ -214,25 +242,21 @@ func (b *binReader) value() Value {
 	return v
 }
 
-func (b *binReader) byte() byte {
-	if b.err != nil {
-		return 0
+// Byte reads one byte.
+func (b *BinReader) Byte() byte {
+	if p := b.Bytes(1); p != nil {
+		return p[0]
 	}
-	if b.off >= len(b.data) {
-		b.fail("truncated byte at offset %d", b.off)
-		return 0
-	}
-	v := b.data[b.off]
-	b.off++
-	return v
+	return 0
 }
 
-func (b *binReader) bytes(n int) []byte {
+// Bytes reads a fixed-width field of n bytes, aliasing the input.
+func (b *BinReader) Bytes(n int) []byte {
 	if b.err != nil {
 		return nil
 	}
 	if n > len(b.data)-b.off {
-		b.fail("truncated %d-byte field at offset %d", n, b.off)
+		b.Failf("truncated %d-byte field at offset %d", n, b.off)
 		return nil
 	}
 	out := b.data[b.off : b.off+n]
@@ -248,25 +272,25 @@ func (b *binReader) bytes(n int) []byte {
 // instance. Derived state (NULL counts, per-segment tombstone counts, the
 // dictionary index) is rebuilt rather than trusted from the wire.
 func DecodeBinary(data []byte) (*Relation, int, error) {
-	b := &binReader{data: data}
-	if string(b.bytes(len(relMagic))) != relMagic {
+	b := NewBinReader("relation", data)
+	if string(b.Bytes(len(relMagic))) != relMagic {
 		return nil, 0, fmt.Errorf("relation: bad magic (not a serialized relation)")
 	}
-	if v := b.byte(); b.err == nil && v != relVersion {
+	if v := b.Byte(); b.err == nil && v != relVersion {
 		return nil, 0, fmt.Errorf("relation: unsupported format version %d", v)
 	}
-	name := b.str()
-	segRows := b.uvarint()
+	name := b.Str()
+	segRows := b.Uvarint()
 	if b.err == nil && (segRows < 1 || segRows > 1<<30) {
-		b.fail("segment capacity %d out of range", segRows)
+		b.Failf("segment capacity %d out of range", segRows)
 	}
-	ncols := b.length("column", 2)
+	ncols := b.Length("column", 2)
 	cols := make([]Column, 0, ncols)
 	for i := 0; i < ncols && b.err == nil; i++ {
-		cname := b.str()
-		kind := Kind(b.byte())
+		cname := b.Str()
+		kind := Kind(b.Byte())
 		if b.err == nil && (kind < KindString || kind > KindBool) {
-			b.fail("column %q has invalid kind %d", cname, kind)
+			b.Failf("column %q has invalid kind %d", cname, kind)
 		}
 		cols = append(cols, Column{Name: cname, Kind: kind})
 	}
@@ -278,23 +302,23 @@ func DecodeBinary(data []byte) (*Relation, int, error) {
 		return nil, 0, err
 	}
 	r := NewWithSegmentRows(name, schema, int(segRows))
-	rows := b.length("row", 1)
+	rows := b.Length("row", 1)
 	if b.err == nil && ncols == 0 && rows > 0 {
 		// Rows in a zero-column relation occupy no bytes, so the row count
 		// is unfalsifiable against the input; no real instance looks like
 		// this, so refuse it rather than trust it.
-		b.fail("%d rows with no columns", rows)
+		b.Failf("%d rows with no columns", rows)
 	}
-	r.epoch = b.uvarint()
-	r.mutations = b.uvarint()
-	deleted := b.uvarint()
+	r.epoch = b.Uvarint()
+	r.mutations = b.Uvarint()
+	deleted := b.Uvarint()
 	if b.err == nil && deleted > uint64(rows) {
-		b.fail("tombstone count %d exceeds %d rows", deleted, rows)
+		b.Failf("tombstone count %d exceeds %d rows", deleted, rows)
 	}
 	r.rows = rows
 	r.deleted = int(deleted)
 	if deleted > 0 {
-		bits := b.bytes((rows + 7) / 8)
+		bits := b.Bytes((rows + 7) / 8)
 		if b.err != nil {
 			return nil, 0, b.err
 		}
@@ -311,21 +335,21 @@ func DecodeBinary(data []byte) (*Relation, int, error) {
 		}
 	}
 	for col := 0; col < ncols && b.err == nil; col++ {
-		dictLen := b.length("dictionary", 1)
+		dictLen := b.Length("dictionary", 1)
 		d := r.dicts[col]
 		want := schema.Column(col).Kind
 		for i := 0; i < dictLen && b.err == nil; i++ {
-			v := b.value()
+			v := b.Value()
 			if b.err != nil {
 				break
 			}
 			if v.Kind() != want {
-				b.fail("column %q dictionary entry %d has kind %v, want %v",
+				b.Failf("column %q dictionary entry %d has kind %v, want %v",
 					schema.Column(col).Name, i, v.Kind(), want)
 				break
 			}
 			if _, dup := d.index[v]; dup {
-				b.fail("column %q dictionary has duplicate value %q", schema.Column(col).Name, v.String())
+				b.Failf("column %q dictionary has duplicate value %q", schema.Column(col).Name, v.String())
 				break
 			}
 			d.index[v] = int32(len(d.values))
@@ -333,12 +357,12 @@ func DecodeBinary(data []byte) (*Relation, int, error) {
 		}
 		codes := make([]int32, rows)
 		for row := 0; row < rows && b.err == nil; row++ {
-			c := b.uvarint()
+			c := b.Uvarint()
 			if b.err != nil {
 				break
 			}
 			if c > uint64(dictLen) {
-				b.fail("column %q row %d code %d out of range [0,%d]",
+				b.Failf("column %q row %d code %d out of range [0,%d]",
 					schema.Column(col).Name, row, int64(c)-1, dictLen)
 				break
 			}

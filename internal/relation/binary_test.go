@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -199,4 +200,37 @@ func FuzzRelationSnapshot(f *testing.F) {
 			t.Fatal("encoding is not a fixed point")
 		}
 	})
+}
+
+// TestBinReaderBoundsAndStickyError: Count refuses a value above its limit,
+// Length one the remaining bytes cannot hold, and after the first failure
+// every read returns zero values without advancing — the rule that lets the
+// relation, WAL-op and snapshot decoders check Err once per structure.
+func TestBinReaderBoundsAndStickyError(t *testing.T) {
+	data := binary.AppendUvarint(nil, 7)
+	data = appendString(data, "abc")
+	data = AppendValue(data, Int(-3))
+
+	b := NewBinReader("test", data)
+	if n := b.Count("n", 7); n != 7 || b.Err() != nil {
+		t.Fatalf("Count = %d, %v", n, b.Err())
+	}
+	if s, v := b.Str(), b.Value(); s != "abc" || v != Int(-3) || b.Err() != nil || len(b.Rest()) != 0 {
+		t.Fatalf("Str, Value = %q, %v (err %v, %d bytes left)", s, v, b.Err(), len(b.Rest()))
+	}
+
+	b = NewBinReader("test", data)
+	if n := b.Count("n", 6); n != 0 || b.Err() == nil {
+		t.Fatalf("Count above its limit = %d, %v", n, b.Err())
+	}
+	first, rest := b.Err(), len(b.Rest())
+	b.Failf("a later failure")
+	if b.Uvarint() != 0 || b.Byte() != 0 || b.Str() != "" || b.Value() != Null || b.Bytes(1) != nil ||
+		b.Err() != first || len(b.Rest()) != rest {
+		t.Fatalf("reads after a failure must be zero, keep the first error and not advance; err %v", b.Err())
+	}
+
+	if b = NewBinReader("test", data); b.Length("n", 4) != 0 || b.Err() == nil {
+		t.Fatal("Length accepted 7 four-byte entries in 6 remaining bytes")
+	}
 }

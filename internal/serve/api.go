@@ -1,8 +1,12 @@
 package serve
 
+import evolvefd "github.com/evolvefd/evolvefd"
+
 // Wire types of the /v1 API. Responses marshal with stable field order and
 // no HTML escaping, so a response body is canonical: the golden-response
-// tests and the HTTP-vs-library differential suite compare raw bytes.
+// tests and the HTTP-vs-library differential suite compare raw bytes. The
+// facade's result types carry the wire's json tags and are embedded as they
+// are; POST compact answers with an evolvefd.CompactionStats.
 
 // ErrorBody is the typed error envelope every non-2xx response carries.
 type ErrorBody struct {
@@ -51,8 +55,9 @@ type AppendResponse struct {
 	LiveRows int `json:"live_rows"`
 }
 
-// DeleteRequest tombstones the given row ids. Each listed batch entry is
-// one Delete call; ids are stable within a storage epoch.
+// DeleteRequest tombstones the given row ids in one Delete call: an unknown
+// id fails the request and applies none of it. Ids are stable within a
+// storage epoch.
 type DeleteRequest struct {
 	Rows []int `json:"rows"`
 }
@@ -80,33 +85,17 @@ type UpdateResponse struct {
 	Updated int `json:"updated"`
 }
 
-// MeasuresBody mirrors evolvefd.Measures on the wire.
-type MeasuresBody struct {
-	Confidence      float64 `json:"confidence"`
-	ConfidenceRatio string  `json:"confidence_ratio"`
-	Goodness        int     `json:"goodness"`
-	Exact           bool    `json:"exact"`
-}
-
 // MeasuresResponse answers GET measures?fd=LABEL.
 type MeasuresResponse struct {
-	Label    string       `json:"label"`
-	FD       string       `json:"fd"`
-	Measures MeasuresBody `json:"measures"`
-}
-
-// ViolationBody is one violated FD in repair-priority order.
-type ViolationBody struct {
-	Label    string       `json:"label"`
-	FD       string       `json:"fd"`
-	Measures MeasuresBody `json:"measures"`
-	Rank     float64      `json:"rank"`
+	Label    string            `json:"label"`
+	FD       string            `json:"fd"`
+	Measures evolvefd.Measures `json:"measures"`
 }
 
 // CheckResponse answers GET check: the violated FDs, repair-first.
 type CheckResponse struct {
-	Consistent bool            `json:"consistent"`
-	Violations []ViolationBody `json:"violations"`
+	Consistent bool                 `json:"consistent"`
+	Violations []evolvefd.Violation `json:"violations"`
 }
 
 // RepairRequest runs the repair search for one violated FD. The option
@@ -122,17 +111,10 @@ type RepairRequest struct {
 	Parallelism    int     `json:"parallelism,omitempty"`
 }
 
-// SuggestionBody is one proposed antecedent extension.
-type SuggestionBody struct {
-	Added    []string     `json:"added"`
-	FD       string       `json:"fd"`
-	Measures MeasuresBody `json:"measures"`
-}
-
 // RepairResponse lists the ranked repairs of one FD, best first.
 type RepairResponse struct {
-	Label       string           `json:"label"`
-	Suggestions []SuggestionBody `json:"suggestions"`
+	Label       string                `json:"label"`
+	Suggestions []evolvefd.Suggestion `json:"suggestions"`
 }
 
 // AcceptRequest adopts a repair: the named attributes join the FD's
@@ -165,32 +147,15 @@ type OKResponse struct {
 	OK bool `json:"ok"`
 }
 
-// DiscoveredBody is one minimal exact FD found on the instance.
-type DiscoveredBody struct {
-	FD         string   `json:"fd"`
-	Spec       string   `json:"spec"`
-	Antecedent []string `json:"antecedent"`
-	Consequent string   `json:"consequent"`
-}
-
 // DiscoverResponse answers GET discover: the minimal exact-FD cover.
 type DiscoverResponse struct {
-	Cover []DiscoveredBody `json:"cover"`
-}
-
-// AdvisorBody is one advisor feed item: an emerged FD to adopt or a broken
-// defined FD to repair.
-type AdvisorBody struct {
-	Kind  string `json:"kind"`
-	Label string `json:"label,omitempty"`
-	FD    string `json:"fd"`
-	Spec  string `json:"spec,omitempty"`
+	Cover []evolvefd.DiscoveredFD `json:"cover"`
 }
 
 // SuggestionsResponse answers GET suggestions: the advisor diff since the
 // previous checkpoint.
 type SuggestionsResponse struct {
-	Suggestions []AdvisorBody `json:"suggestions"`
+	Suggestions []evolvefd.AdvisorSuggestion `json:"suggestions"`
 }
 
 // FeedEvent is one SSE "suggestion" event. Checkpoint numbers are assigned
@@ -204,43 +169,15 @@ type FeedEvent struct {
 	Spec       string `json:"spec,omitempty"`
 }
 
-// CompactResponse reports one storage compaction (durations omitted: the
-// body is canonical).
-type CompactResponse struct {
-	Reclaimed int    `json:"reclaimed"`
-	OldRows   int    `json:"old_rows"`
-	NewRows   int    `json:"new_rows"`
-	Moved     int    `json:"moved"`
-	Epoch     uint64 `json:"epoch"`
-}
-
-// MemBody mirrors evolvefd.MemStats on the wire.
-type MemBody struct {
-	PhysicalRows     int     `json:"physical_rows"`
-	LiveRows         int     `json:"live_rows"`
-	Tombstones       int     `json:"tombstones"`
-	TombstoneRatio   float64 `json:"tombstone_ratio"`
-	Segments         int     `json:"segments"`
-	DirtySegments    int     `json:"dirty_segments"`
-	SegmentRows      int     `json:"segment_rows"`
-	Epoch            uint64  `json:"epoch"`
-	Compactions      uint64  `json:"compactions"`
-	StorageBytes     int64   `json:"storage_bytes"`
-	ReclaimableBytes int64   `json:"reclaimable_bytes"`
-	DictEntries      int     `json:"dict_entries"`
-	TrackedSets      int     `json:"tracked_sets"`
-	CachedMeasures   int     `json:"cached_measures"`
-}
-
 // StatsResponse answers GET /v1/{tenant}: the tenant's observable state.
 type StatsResponse struct {
-	Tenant     string   `json:"tenant"`
-	Durable    bool     `json:"durable"`
-	Generation uint64   `json:"generation"`
-	Epoch      uint64   `json:"epoch"`
-	LiveRows   int      `json:"live_rows"`
-	FDs        []string `json:"fds"`
-	Mem        MemBody  `json:"mem"`
+	Tenant     string            `json:"tenant"`
+	Durable    bool              `json:"durable"`
+	Generation uint64            `json:"generation"`
+	Epoch      uint64            `json:"epoch"`
+	LiveRows   int               `json:"live_rows"`
+	FDs        []string          `json:"fds"`
+	Mem        evolvefd.MemStats `json:"mem"`
 }
 
 // TenantsResponse answers GET /v1/tenants.

@@ -74,7 +74,7 @@ func runDifferentialWorkload(t *testing.T, ts *httptest.Server, name string, see
 		if err != nil {
 			t.Fatalf("twin repair %s: %v", label, err)
 		}
-		assertSameBody(t, "repair", body, buildRepair(label, suggestions))
+		assertSameBody(t, "repair", body, RepairResponse{Label: label, Suggestions: suggestions})
 		if len(suggestions) > 0 {
 			accept := AcceptRequest{FD: label, Added: suggestions[0].Added}
 			body = mustReq(t, client, "POST", base+"/accept", jsonBody(t, accept), http.StatusOK)
@@ -144,12 +144,12 @@ func applyRandomOp(t *testing.T, client *http.Client, base string, twin *evolvef
 			t.Fatalf("twin FDText %s: %v", label, err)
 		}
 		body := mustReq(t, client, "GET", base+"/measures?fd="+label, "", http.StatusOK)
-		assertSameBody(t, "measures", body, MeasuresResponse{Label: label, FD: text, Measures: toMeasuresBody(m)})
+		assertSameBody(t, "measures", body, MeasuresResponse{Label: label, FD: text, Measures: m})
 	default: // compact
 		body := mustReq(t, client, "POST", base+"/compact", "", http.StatusOK)
 		st := twin.Compact()
 		rt.compacted()
-		assertSameBody(t, "compact", body, buildCompact(st))
+		assertSameBody(t, "compact", body, st)
 	}
 }
 
@@ -157,7 +157,8 @@ func applyRandomOp(t *testing.T, client *http.Client, base string, twin *evolvef
 func compareAll(t *testing.T, client *http.Client, base, name string, durable bool, twin *evolvefd.Session) {
 	t.Helper()
 	body := mustReq(t, client, "GET", base+"/check", "", http.StatusOK)
-	assertSameBody(t, "check", body, buildCheck(twin.Check()))
+	violations := twin.Check()
+	assertSameBody(t, "check", body, CheckResponse{Consistent: len(violations) == 0, Violations: violations})
 
 	for _, label := range twin.Labels() {
 		m, err := twin.Measures(label)
@@ -169,7 +170,7 @@ func compareAll(t *testing.T, client *http.Client, base, name string, durable bo
 			t.Fatalf("twin FDText %s: %v", label, err)
 		}
 		body = mustReq(t, client, "GET", base+"/measures?fd="+label, "", http.StatusOK)
-		assertSameBody(t, "measures "+label, body, MeasuresResponse{Label: label, FD: text, Measures: toMeasuresBody(m)})
+		assertSameBody(t, "measures "+label, body, MeasuresResponse{Label: label, FD: text, Measures: m})
 	}
 
 	body = mustReq(t, client, "GET", base+"/discover?max_lhs=2", "", http.StatusOK)
@@ -177,14 +178,14 @@ func compareAll(t *testing.T, client *http.Client, base, name string, durable bo
 	if err != nil {
 		t.Fatalf("twin discover: %v", err)
 	}
-	assertSameBody(t, "discover", body, buildDiscover(found))
+	assertSameBody(t, "discover", body, DiscoverResponse{Cover: found})
 
 	body = mustReq(t, client, "GET", base+"/suggestions", "", http.StatusOK)
 	suggestions, err := twin.Suggestions()
 	if err != nil {
 		t.Fatalf("twin suggestions: %v", err)
 	}
-	assertSameBody(t, "suggestions", body, buildSuggestions(suggestions))
+	assertSameBody(t, "suggestions", body, SuggestionsResponse{Suggestions: suggestions})
 
 	body = mustReq(t, client, "GET", base, "", http.StatusOK)
 	assertSameBody(t, "stats", body, buildStats(name, durable, twin))

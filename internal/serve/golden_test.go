@@ -71,7 +71,9 @@ func TestGoldenResponses(t *testing.T) {
 		{"err-unknown-attribute", "POST", "/v1/g1/accept", jsonBody(t, AcceptRequest{FD: "F1", Added: []string{"Zap"}})},
 		{"err-bad-json", "POST", "/v1/g1/append", `{"rows": [`},
 		{"err-unknown-field", "POST", "/v1/g1/append", `{"tuples": [["x","1","p","u"]]}`},
+		{"err-trailing-json", "POST", "/v1/g1/append", `{"rows":[["x","1","p","u"]]} {"rows":[["BAD"]]} garbage`},
 		{"err-bad-query", "GET", "/v1/g1/discover?max_lhs=banana", ""},
+		{"err-negative-bound", "GET", "/v1/g1/discover?max_results=-5", ""},
 
 		{"close", "DELETE", "/v1/g1", ""},
 		{"err-after-close", "GET", "/v1/g1/check", ""},

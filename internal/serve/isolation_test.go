@@ -63,7 +63,7 @@ func TestTenantIsolationProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("twin %s suggestions: %v", st.name, err)
 		}
-		assertSameBody(t, st.name+" suggestions", body, buildSuggestions(suggestions))
+		assertSameBody(t, st.name+" suggestions", body, SuggestionsResponse{Suggestions: suggestions})
 
 		body = mustReq(t, client, "GET", st.base, "", http.StatusOK)
 		assertSameBody(t, st.name+" stats", body, buildStats(st.name, false, st.twin))

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,15 +37,16 @@ func New(reg *Registry) *Server {
 	s.mux.HandleFunc("POST /v1/{tenant}", s.handleCreate)
 	s.mux.HandleFunc("GET /v1/{tenant}", s.handleStats)
 	s.mux.HandleFunc("DELETE /v1/{tenant}", s.handleClose)
-	s.mux.HandleFunc("POST /v1/{tenant}/append", s.handleAppend)
-	s.mux.HandleFunc("POST /v1/{tenant}/delete", s.handleDelete)
-	s.mux.HandleFunc("POST /v1/{tenant}/update", s.handleUpdate)
-	s.mux.HandleFunc("POST /v1/{tenant}/define", s.handleDefine)
-	s.mux.HandleFunc("POST /v1/{tenant}/drop", s.handleDrop)
-	s.mux.HandleFunc("POST /v1/{tenant}/repair", s.handleRepair)
-	s.mux.HandleFunc("POST /v1/{tenant}/accept", s.handleAccept)
-	s.mux.HandleFunc("POST /v1/{tenant}/compact", s.handleCompact)
-	s.mux.HandleFunc("POST /v1/{tenant}/flush", s.handleFlush)
+	// post(s, mutates, call): a mutating route publishes to the tenant's feed.
+	s.mux.HandleFunc("POST /v1/{tenant}/append", post(s, true, appendRows))
+	s.mux.HandleFunc("POST /v1/{tenant}/delete", post(s, true, deleteRows))
+	s.mux.HandleFunc("POST /v1/{tenant}/update", post(s, true, updateRows))
+	s.mux.HandleFunc("POST /v1/{tenant}/define", post(s, true, define))
+	s.mux.HandleFunc("POST /v1/{tenant}/drop", post(s, true, drop))
+	s.mux.HandleFunc("POST /v1/{tenant}/repair", post(s, false, repair))
+	s.mux.HandleFunc("POST /v1/{tenant}/accept", post(s, true, accept))
+	s.mux.HandleFunc("POST /v1/{tenant}/compact", post(s, true, compact))
+	s.mux.HandleFunc("POST /v1/{tenant}/flush", post(s, false, flush))
 	s.mux.HandleFunc("GET /v1/{tenant}/check", s.handleCheck)
 	s.mux.HandleFunc("GET /v1/{tenant}/measures", s.handleMeasures)
 	s.mux.HandleFunc("GET /v1/{tenant}/discover", s.handleDiscover)
@@ -110,19 +113,60 @@ const (
 	maxBody       = 64 << 20
 )
 
-// decode parses a JSON request body of at most limit bytes strictly: unknown
-// fields are bad requests, not silent typos.
+// noBody is the request type of the routes that take no arguments (compact,
+// flush): only they accept an empty body.
+type noBody struct{}
+
+// decode parses a request body of at most limit bytes strictly: it must be
+// exactly one JSON value, and unknown fields are bad requests, not silent
+// typos.
 func decode(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return fmt.Errorf("serve: body: %w", tooLarge)
-		}
-		return fmt.Errorf("%w: body: %v", errBadRequest, err)
+	err := dec.Decode(v)
+	if _, none := v.(*noBody); none && err == io.EOF {
+		return nil
 	}
-	return nil
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
+		}
+		if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return fmt.Errorf("serve: body: %w", tooLarge)
+	}
+	return fmt.Errorf("%w: body: %v", errBadRequest, err)
+}
+
+// post is the one shape of every tenant POST route: resolve the tenant,
+// decode the body, call, publish, answer. A mutating route publishes once
+// its call returns, error or not — a batch that failed midway has applied
+// and logged a prefix, and the feed must not skip that change.
+func post[Req, Resp any](s *Server, mutates bool, call func(*evolvefd.Session, Req) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		t, ok := s.tenant(w, r)
+		if !ok {
+			return
+		}
+		var req Req
+		if err := decode(w, r, maxBody, &req); err != nil {
+			s.writeError(w, err)
+			return
+		}
+		resp, err := call(t.s, req)
+		if mutates {
+			t.publish()
+		}
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
+	}
 }
 
 // tenant resolves the {tenant} path segment, writing the error response on
@@ -172,6 +216,21 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, buildStats(t.name, t.durable, t.s))
 }
 
+// buildStats renders a tenant's observable state; the differential suites
+// call it on the library twin.
+func buildStats(name string, durable bool, s *evolvefd.Session) StatsResponse {
+	m := s.MemStats()
+	return StatsResponse{
+		Tenant:     name,
+		Durable:    durable,
+		Generation: s.Generation(),
+		Epoch:      m.Epoch,
+		LiveRows:   m.LiveRows,
+		FDs:        s.Labels(),
+		Mem:        m,
+	}
+}
+
 func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 	if err := s.reg.Close(r.PathValue("tenant")); err != nil {
 		s.writeError(w, err)
@@ -180,104 +239,68 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, OKResponse{OK: true})
 }
 
-func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tenant(w, r)
-	if !ok {
-		return
-	}
-	var req AppendRequest
-	if err := decode(w, r, maxBody, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
+func appendRows(s *evolvefd.Session, req AppendRequest) (AppendResponse, error) {
 	for i, cells := range req.Rows {
-		if err := t.s.AppendStrings(cells...); err != nil {
-			if i > 0 {
-				t.publish() // rows 0..i-1 were applied and logged
-			}
-			s.writeError(w, fmt.Errorf("row %d: %w", i, err))
-			return
+		if err := s.AppendStrings(cells...); err != nil {
+			return AppendResponse{}, fmt.Errorf("row %d: %w", i, err)
 		}
 	}
-	t.publish()
-	writeJSON(w, http.StatusOK, AppendResponse{Appended: len(req.Rows), LiveRows: t.s.LiveRows()})
+	return AppendResponse{Appended: len(req.Rows), LiveRows: s.LiveRows()}, nil
 }
 
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tenant(w, r)
-	if !ok {
-		return
+func deleteRows(s *evolvefd.Session, req DeleteRequest) (DeleteResponse, error) {
+	if err := s.Delete(req.Rows...); err != nil {
+		return DeleteResponse{}, err
 	}
-	var req DeleteRequest
-	if err := decode(w, r, maxBody, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if err := t.s.Delete(req.Rows...); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	t.publish()
-	writeJSON(w, http.StatusOK, DeleteResponse{Deleted: len(req.Rows), LiveRows: t.s.LiveRows()})
+	return DeleteResponse{Deleted: len(req.Rows), LiveRows: s.LiveRows()}, nil
 }
 
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tenant(w, r)
-	if !ok {
-		return
-	}
-	var req UpdateRequest
-	if err := decode(w, r, maxBody, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
+func updateRows(s *evolvefd.Session, req UpdateRequest) (UpdateResponse, error) {
 	for i, u := range req.Updates {
-		if err := t.s.UpdateStrings(u.Row, u.Cells...); err != nil {
-			if i > 0 {
-				t.publish() // updates 0..i-1 were applied and logged
-			}
-			s.writeError(w, fmt.Errorf("update %d: %w", i, err))
-			return
+		if err := s.UpdateStrings(u.Row, u.Cells...); err != nil {
+			return UpdateResponse{}, fmt.Errorf("update %d: %w", i, err)
 		}
 	}
-	t.publish()
-	writeJSON(w, http.StatusOK, UpdateResponse{Updated: len(req.Updates)})
+	return UpdateResponse{Updated: len(req.Updates)}, nil
 }
 
-func (s *Server) handleDefine(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tenant(w, r)
-	if !ok {
-		return
-	}
-	var req DefineRequest
-	if err := decode(w, r, maxBody, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if err := t.s.Define(req.Label, req.Spec); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	t.publish()
-	writeJSON(w, http.StatusOK, OKResponse{OK: true})
+func define(s *evolvefd.Session, req DefineRequest) (OKResponse, error) {
+	return ack(s.Define(req.Label, req.Spec))
 }
 
-func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tenant(w, r)
-	if !ok {
-		return
+func drop(s *evolvefd.Session, req DropRequest) (OKResponse, error) {
+	return ack(s.Drop(req.Label))
+}
+
+func flush(s *evolvefd.Session, _ noBody) (OKResponse, error) {
+	return ack(s.Flush())
+}
+
+func ack(err error) (OKResponse, error) { return OKResponse{OK: err == nil}, err }
+
+func compact(s *evolvefd.Session, _ noBody) (evolvefd.CompactionStats, error) {
+	return s.Compact(), nil
+}
+
+func repair(s *evolvefd.Session, req RepairRequest) (RepairResponse, error) {
+	suggestions, err := s.Repair(req.FD, evolvefd.Options{
+		FirstOnly:      req.FirstOnly,
+		MaxAdded:       req.MaxAdded,
+		MaxGoodness:    req.MaxGoodness,
+		MinimalOnly:    req.MinimalOnly,
+		Balanced:       req.Balanced,
+		GoodnessWeight: req.GoodnessWeight,
+		Parallelism:    req.Parallelism,
+	})
+	return RepairResponse{Label: req.FD, Suggestions: suggestions}, err
+}
+
+func accept(s *evolvefd.Session, req AcceptRequest) (AcceptResponse, error) {
+	if err := s.Accept(req.FD, evolvefd.Suggestion{Added: req.Added}); err != nil {
+		return AcceptResponse{}, err
 	}
-	var req DropRequest
-	if err := decode(w, r, maxBody, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if err := t.s.Drop(req.Label); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	t.publish()
-	writeJSON(w, http.StatusOK, OKResponse{OK: true})
+	text, err := s.FDText(req.FD)
+	return AcceptResponse{Label: req.FD, FD: text}, err
 }
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
@@ -285,7 +308,8 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, buildCheck(t.s.Check()))
+	violations := t.s.Check()
+	writeJSON(w, http.StatusOK, CheckResponse{Consistent: len(violations) == 0, Violations: violations})
 }
 
 func (s *Server) handleMeasures(w http.ResponseWriter, r *http.Request) {
@@ -308,94 +332,36 @@ func (s *Server) handleMeasures(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, MeasuresResponse{Label: label, FD: text, Measures: toMeasuresBody(m)})
+	writeJSON(w, http.StatusOK, MeasuresResponse{Label: label, FD: text, Measures: m})
 }
 
-func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tenant(w, r)
-	if !ok {
-		return
+// queryBound parses an optional non-negative integer query parameter. A
+// negative bound is refused, not answered: it would silently mean the
+// default (max_lhs) or a truncated, order-dependent cover (max_results).
+func queryBound(q url.Values, name string) (int, error) {
+	v := q.Get(name)
+	if v == "" {
+		return 0, nil
 	}
-	var req RepairRequest
-	if err := decode(w, r, maxBody, &req); err != nil {
-		s.writeError(w, err)
-		return
+	n, err := strconv.Atoi(v)
+	if err == nil && n < 0 {
+		err = errors.New("must not be negative")
 	}
-	opts := evolvefd.Options{
-		FirstOnly:      req.FirstOnly,
-		MaxAdded:       req.MaxAdded,
-		MaxGoodness:    req.MaxGoodness,
-		MinimalOnly:    req.MinimalOnly,
-		Balanced:       req.Balanced,
-		GoodnessWeight: req.GoodnessWeight,
-		Parallelism:    req.Parallelism,
-	}
-	suggestions, err := t.s.Repair(req.FD, opts)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return 0, fmt.Errorf("%w: %s: %v", errBadRequest, name, err)
 	}
-	writeJSON(w, http.StatusOK, buildRepair(req.FD, suggestions))
-}
-
-func (s *Server) handleAccept(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tenant(w, r)
-	if !ok {
-		return
-	}
-	var req AcceptRequest
-	if err := decode(w, r, maxBody, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if err := t.s.Accept(req.FD, evolvefd.Suggestion{Added: req.Added}); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	text, err := t.s.FDText(req.FD)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	t.publish()
-	writeJSON(w, http.StatusOK, AcceptResponse{Label: req.FD, FD: text})
-}
-
-func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tenant(w, r)
-	if !ok {
-		return
-	}
-	st := t.s.Compact()
-	t.publish()
-	writeJSON(w, http.StatusOK, buildCompact(st))
-}
-
-func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tenant(w, r)
-	if !ok {
-		return
-	}
-	if err := t.s.Flush(); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, OKResponse{OK: true})
+	return n, nil
 }
 
 // parseDiscoverQuery maps ?max_lhs=&max_results=&consequents=A,B to
 // DiscoveryOptions; ?incremental=true selects the maintained cover.
 func parseDiscoverQuery(r *http.Request) (opts evolvefd.DiscoveryOptions, incremental bool, err error) {
 	q := r.URL.Query()
-	if v := q.Get("max_lhs"); v != "" {
-		if opts.MaxLHS, err = strconv.Atoi(v); err != nil {
-			return opts, false, fmt.Errorf("%w: max_lhs: %v", errBadRequest, err)
-		}
+	if opts.MaxLHS, err = queryBound(q, "max_lhs"); err != nil {
+		return opts, false, err
 	}
-	if v := q.Get("max_results"); v != "" {
-		if opts.MaxResults, err = strconv.Atoi(v); err != nil {
-			return opts, false, fmt.Errorf("%w: max_results: %v", errBadRequest, err)
-		}
+	if opts.MaxResults, err = queryBound(q, "max_results"); err != nil {
+		return opts, false, err
 	}
 	if q.Has("consequents") {
 		opts.Consequents = []string{}
@@ -433,7 +399,7 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, buildDiscover(found))
+	writeJSON(w, http.StatusOK, DiscoverResponse{Cover: found})
 }
 
 func (s *Server) handleSuggestions(w http.ResponseWriter, r *http.Request) {
@@ -446,7 +412,7 @@ func (s *Server) handleSuggestions(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, buildSuggestions(suggestions))
+	writeJSON(w, http.StatusOK, SuggestionsResponse{Suggestions: suggestions})
 }
 
 // handleFeed streams the tenant's advisor suggestions as Server-Sent

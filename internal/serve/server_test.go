@@ -274,3 +274,22 @@ func TestOversizedAppendRefused(t *testing.T) {
 		t.Fatalf("refused append changed live rows %d → %d", before, after)
 	}
 }
+
+// TestEmptyBodyRoutes: the two argument-less routes succeed with no body;
+// the seven that take arguments refuse an empty one as a bad request.
+func TestEmptyBodyRoutes(t *testing.T) {
+	ts, _ := newTestServer(t, RegistryOptions{})
+	client := ts.Client()
+	base := ts.URL + "/v1/empty"
+	mustReq(t, client, "POST", base, jsonBody(t, CreateRequest{CSV: goldenCSV, FDs: workloadFDs}), http.StatusCreated)
+	for _, route := range []string{"compact", "flush"} {
+		mustReq(t, client, "POST", base+"/"+route, "", http.StatusOK)
+	}
+	for _, route := range []string{"append", "delete", "update", "define", "drop", "repair", "accept"} {
+		var got ErrorBody
+		body := mustReq(t, client, "POST", base+"/"+route, "", http.StatusBadRequest)
+		if err := json.Unmarshal(body, &got); err != nil || got.Error.Code != "bad_request" {
+			t.Fatalf("empty %s body answered %s (%v), want bad_request", route, body, err)
+		}
+	}
+}

@@ -53,7 +53,7 @@ type bitFlip struct {
 // NewErrFS wraps inner (nil means the real filesystem) with no faults armed.
 func NewErrFS(inner FS) *ErrFS {
 	return &ErrFS{
-		inner:      orFS(inner),
+		inner:      OrOS(inner),
 		syncsLeft:  -1,
 		writesLeft: -1,
 		budget:     -1,

@@ -40,7 +40,7 @@ func PinPath(dir, id string) string {
 // present, each sorted ascending. Unrelated files (pins included) are
 // ignored.
 func ListStatesFS(fsys FS, dir string) (snaps, logs []uint64, err error) {
-	names, err := orFS(fsys).ReadDir(dir)
+	names, err := OrOS(fsys).ReadDir(dir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -77,7 +77,7 @@ func WritePin(fsys FS, dir, id string, seq uint64) error {
 
 // RemovePin drops follower id's pin. Missing pins are not an error.
 func RemovePin(fsys FS, dir, id string) error {
-	if err := orFS(fsys).Remove(PinPath(dir, id)); err != nil && !IsNotExist(err) {
+	if err := OrOS(fsys).Remove(PinPath(dir, id)); err != nil && !IsNotExist(err) {
 		return err
 	}
 	return nil
@@ -87,7 +87,7 @@ func RemovePin(fsys FS, dir, id string) error {
 // whether one exists. Unparsable pins are ignored rather than wedging
 // retention forever.
 func MinPinned(fsys FS, dir string) (uint64, bool) {
-	f := orFS(fsys)
+	f := OrOS(fsys)
 	names, err := f.ReadDir(dir)
 	if err != nil {
 		return 0, false
@@ -115,7 +115,7 @@ func MinPinned(fsys FS, dir string) (uint64, bool) {
 // PruneFS removes every snapshot and log file whose sequence is below keep.
 // Removal failures are ignored — stale generations are garbage, not state.
 func PruneFS(fsys FS, dir string, keep uint64) {
-	f := orFS(fsys)
+	f := OrOS(fsys)
 	snaps, logs, err := ListStatesFS(f, dir)
 	if err != nil {
 		return
@@ -137,7 +137,7 @@ func PruneFS(fsys FS, dir string, keep uint64) {
 // never a prefix. With fsync, the file is synced before the rename and the
 // directory after it, making the swap durable, not just atomic.
 func WriteFileAtomicFS(fsys FS, path string, data []byte, fsync bool) error {
-	f := orFS(fsys)
+	f := OrOS(fsys)
 	dir := filepath.Dir(path)
 	tmp, tmpName, err := f.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {

@@ -116,17 +116,14 @@ func (osFS) SyncDir(dir string) error {
 	return closeErr
 }
 
-// orFS resolves a possibly-nil FS to the real filesystem, so every entry
+// OrOS resolves a possibly-nil FS to the real filesystem, so every entry
 // point accepts "nil means OS" without each caller spelling it out.
-func orFS(f FS) FS {
+func OrOS(f FS) FS {
 	if f == nil {
 		return OS
 	}
 	return f
 }
-
-// OrOS is orFS for callers outside the package that hold a possibly-nil FS.
-func OrOS(f FS) FS { return orFS(f) }
 
 // IsNotExist reports whether err means the file is absent, for callers that
 // treat a missing log or snapshot as state rather than failure.

@@ -180,137 +180,52 @@ func EncodeOp(buf []byte, op Op) []byte {
 // a record that passed its CRC but fails here is corruption the caller must
 // surface, not skip.
 func DecodeOp(payload []byte) (Op, error) {
-	r := &reader{data: payload}
-	op := Op{Kind: r.byte()}
+	r := relation.NewBinReader("wal", payload)
+	op := Op{Kind: r.Byte()}
 	switch op.Kind {
 	case OpAppend, OpUpdate:
 		if op.Kind == OpUpdate {
-			op.Row = r.count("row", 1<<40)
+			op.Row = r.Count("row", 1<<40)
 		}
-		n := r.count("tuple length", uint64(len(payload)))
-		for i := 0; i < n && r.err == nil; i++ {
-			op.Tuple = append(op.Tuple, r.value())
+		n := r.Count("tuple length", uint64(len(payload)))
+		for i := 0; i < n && r.Err() == nil; i++ {
+			op.Tuple = append(op.Tuple, r.Value())
 		}
 	case OpAppendStrings, OpUpdateStrings:
 		if op.Kind == OpUpdateStrings {
-			op.Row = r.count("row", 1<<40)
+			op.Row = r.Count("row", 1<<40)
 		}
-		n := r.count("cell count", uint64(len(payload)))
-		for i := 0; i < n && r.err == nil; i++ {
-			op.Cells = append(op.Cells, r.str())
+		n := r.Count("cell count", uint64(len(payload)))
+		for i := 0; i < n && r.Err() == nil; i++ {
+			op.Cells = append(op.Cells, r.Str())
 		}
 	case OpDelete:
-		n := r.count("delete batch", uint64(len(payload)))
-		for i := 0; i < n && r.err == nil; i++ {
-			op.Rows = append(op.Rows, r.count("row", 1<<40))
+		n := r.Count("delete batch", uint64(len(payload)))
+		for i := 0; i < n && r.Err() == nil; i++ {
+			op.Rows = append(op.Rows, r.Count("row", 1<<40))
 		}
 	case OpDefine:
-		op.Label = r.str()
-		op.Spec = r.str()
+		op.Label = r.Str()
+		op.Spec = r.Str()
 	case OpAccept:
-		op.Label = r.str()
-		n := r.count("name count", uint64(len(payload)))
-		for i := 0; i < n && r.err == nil; i++ {
-			op.Names = append(op.Names, r.str())
+		op.Label = r.Str()
+		n := r.Count("name count", uint64(len(payload)))
+		for i := 0; i < n && r.Err() == nil; i++ {
+			op.Names = append(op.Names, r.Str())
 		}
 	case OpDrop:
-		op.Label = r.str()
+		op.Label = r.Str()
 	case OpCompact, OpCheckpoint:
 	default:
 		return Op{}, fmt.Errorf("wal: unknown op kind %d", op.Kind)
 	}
-	if r.err != nil {
-		return Op{}, r.err
+	if r.Err() != nil {
+		return Op{}, r.Err()
 	}
-	if r.off != len(payload) {
-		return Op{}, fmt.Errorf("wal: %d trailing bytes after op %d", len(payload)-r.off, op.Kind)
+	if rest := len(r.Rest()); rest != 0 {
+		return Op{}, fmt.Errorf("wal: %d trailing bytes after op %d", rest, op.Kind)
 	}
 	return op, nil
-}
-
-// reader decodes the wal payload primitives with a sticky error, mirroring
-// the relation package's binary reader.
-type reader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("wal: "+format, args...)
-	}
-}
-
-func (r *reader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.data) {
-		r.fail("truncated byte at offset %d", r.off)
-		return 0
-	}
-	v := r.data[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.fail("truncated varint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// count reads a non-negative integer bounded by limit — for element counts,
-// pass the remaining payload length so no count can demand more elements
-// than the bytes that are supposed to encode them.
-func (r *reader) count(what string, limit uint64) int {
-	v := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if v > limit {
-		r.fail("%s %d exceeds bound %d", what, v, limit)
-		return 0
-	}
-	return int(v)
-}
-
-func (r *reader) str() string {
-	if r.err != nil {
-		return ""
-	}
-	l := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if l > uint64(len(r.data)-r.off) {
-		r.fail("string length %d exceeds remaining input", l)
-		return ""
-	}
-	s := string(r.data[r.off : r.off+int(l)])
-	r.off += int(l)
-	return s
-}
-
-func (r *reader) value() relation.Value {
-	if r.err != nil {
-		return relation.Null
-	}
-	v, n, err := relation.DecodeValue(r.data[r.off:])
-	if err != nil {
-		r.err = err
-		return relation.Null
-	}
-	r.off += n
-	return v
 }
 
 func appendString(buf []byte, s string) []byte {

@@ -185,133 +185,129 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
 		return nil, fmt.Errorf("wal: snapshot checksum mismatch")
 	}
-	r := &reader{data: body, off: len(snapMagic)}
-	v := r.byte()
-	if r.err == nil && v != snapVersion {
+	r := relation.NewBinReader("wal", body[len(snapMagic):])
+	v := r.Byte()
+	if r.Err() == nil && v != snapVersion {
 		return nil, fmt.Errorf("wal: unsupported snapshot version %d", v)
 	}
 	snap := &Snapshot{}
-	snap.Seq = r.uvarint()
-	snap.Generation = r.uvarint()
-	snap.Compactions = r.uvarint()
-	if r.err != nil {
-		return nil, r.err
+	snap.Seq = r.Uvarint()
+	snap.Generation = r.Uvarint()
+	snap.Compactions = r.Uvarint()
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	rel, n, err := relation.DecodeBinary(body[r.off:])
+	rel, n, err := relation.DecodeBinary(r.Rest())
 	if err != nil {
 		return nil, err
 	}
 	snap.Rel = rel
-	r.off += n
-	nfds := r.count("FD count", uint64(len(body)))
-	for i := 0; i < nfds && r.err == nil; i++ {
-		snap.FDs = append(snap.FDs, DefinedFD{Label: r.str(), Spec: r.str()})
+	r.Bytes(n)
+	nfds := r.Count("FD count", uint64(len(body)))
+	for i := 0; i < nfds && r.Err() == nil; i++ {
+		snap.FDs = append(snap.FDs, DefinedFD{Label: r.Str(), Spec: r.Str()})
 	}
-	switch hasDisc := r.byte(); {
-	case r.err != nil:
+	switch hasDisc := r.Byte(); {
+	case r.Err() != nil:
 	case hasDisc == 0:
 	case hasDisc != 1:
-		r.fail("discovery flag byte %d", hasDisc)
+		r.Failf("discovery flag byte %d", hasDisc)
 	default:
 		d := &DiscState{}
-		d.MaxLHS = r.count("MaxLHS", 1<<20)
-		switch hasCons := r.byte(); {
-		case r.err != nil:
+		d.MaxLHS = r.Count("MaxLHS", 1<<20)
+		switch hasCons := r.Byte(); {
+		case r.Err() != nil:
 		case hasCons == 1:
 			d.HasConsequents = true
-			d.Consequents = r.ints("consequent")
+			d.Consequents = readInts(r, "consequent")
 		case hasCons != 0:
-			r.fail("consequent flag byte %d", hasCons)
+			r.Failf("consequent flag byte %d", hasCons)
 		}
 		d.Borders.MaxLHS = d.MaxLHS
-		d.Borders.Eligible = r.ints("eligible column")
-		nstates := r.count("state count", uint64(len(body)))
-		for i := 0; i < nstates && r.err == nil; i++ {
-			st := discovery.ConsequentSnapshot{Y: r.count("consequent", 1<<20)}
-			nvalid := r.count("cover size", uint64(len(body)))
-			for j := 0; j < nvalid && r.err == nil; j++ {
-				st.Valid = append(st.Valid, r.ints("cover attribute"))
+		d.Borders.Eligible = readInts(r, "eligible column")
+		nstates := r.Count("state count", uint64(len(body)))
+		for i := 0; i < nstates && r.Err() == nil; i++ {
+			st := discovery.ConsequentSnapshot{Y: r.Count("consequent", 1<<20)}
+			nvalid := r.Count("cover size", uint64(len(body)))
+			for j := 0; j < nvalid && r.Err() == nil; j++ {
+				st.Valid = append(st.Valid, readInts(r, "cover attribute"))
 			}
-			ninvalid := r.count("border size", uint64(len(body)))
-			for j := 0; j < ninvalid && r.err == nil; j++ {
-				w := discovery.WitnessSnapshot{X: r.ints("border attribute")}
-				w.W1 = r.count("witness row", 1<<40)
-				w.W2 = r.count("witness row", 1<<40)
+			ninvalid := r.Count("border size", uint64(len(body)))
+			for j := 0; j < ninvalid && r.Err() == nil; j++ {
+				w := discovery.WitnessSnapshot{X: readInts(r, "border attribute")}
+				w.W1 = r.Count("witness row", 1<<40)
+				w.W2 = r.Count("witness row", 1<<40)
 				st.Invalid = append(st.Invalid, w)
 			}
 			d.Borders.States = append(d.Borders.States, st)
 		}
-		ncover := r.count("baseline cover size", uint64(len(body)))
-		for i := 0; i < ncover && r.err == nil; i++ {
-			d.LastCover = append(d.LastCover, r.str())
+		ncover := r.Count("baseline cover size", uint64(len(body)))
+		for i := 0; i < ncover && r.Err() == nil; i++ {
+			d.LastCover = append(d.LastCover, r.Str())
 		}
-		nexact := r.count("baseline label count", uint64(len(body)))
-		for i := 0; i < nexact && r.err == nil; i++ {
-			le := LabelExact{Label: r.str()}
-			switch b := r.byte(); {
-			case r.err != nil:
+		nexact := r.Count("baseline label count", uint64(len(body)))
+		for i := 0; i < nexact && r.Err() == nil; i++ {
+			le := LabelExact{Label: r.Str()}
+			switch b := r.Byte(); {
+			case r.Err() != nil:
 			case b == 1:
 				le.Exact = true
 			case b != 0:
-				r.fail("exactness byte %d", b)
+				r.Failf("exactness byte %d", b)
 			}
 			d.LastExact = append(d.LastExact, le)
 		}
 		snap.Disc = d
 	}
-	nidx := r.count("index count", uint64(len(body)))
-	for i := 0; i < nidx && r.err == nil; i++ {
-		d := pli.IndexDump{Attrs: r.ints("index attribute")}
-		nclusters := r.count("cluster count", uint64(len(body)))
-		total := r.count("cluster member total", uint64(len(body)/4+1))
-		if r.err != nil {
+	nidx := r.Count("index count", uint64(len(body)))
+	for i := 0; i < nidx && r.Err() == nil; i++ {
+		d := pli.IndexDump{Attrs: readInts(r, "index attribute")}
+		nclusters := r.Count("cluster count", uint64(len(body)))
+		total := r.Count("cluster member total", uint64(len(body)/4+1))
+		if r.Err() != nil {
 			break
 		}
 		d.Offsets = make([]int32, 1, nclusters+1)
 		// The size table first, then the member arena in one block — decoded
 		// with a single fixed-width sweep into one allocation.
 		sum := 0
-		for j := 0; j < nclusters && r.err == nil; j++ {
-			n := r.count("cluster size", uint64(total-sum))
+		for j := 0; j < nclusters && r.Err() == nil; j++ {
+			n := r.Count("cluster size", uint64(total-sum))
 			sum += n
 			d.Offsets = append(d.Offsets, int32(sum))
 		}
-		if r.err == nil && sum != total {
-			r.fail("cluster sizes total %d of %d arena members", sum, total)
+		if r.Err() == nil && sum != total {
+			r.Failf("cluster sizes total %d of %d arena members", sum, total)
 		}
-		if r.err == nil && len(body)-r.off < 4*total {
-			r.fail("member arena of %d rows overruns the snapshot", total)
-		}
-		if r.err != nil {
+		arena := r.Bytes(4 * total)
+		if r.Err() != nil {
 			break
 		}
 		d.Members = make([]int32, total)
-		off := r.off
 		for k := range d.Members {
-			d.Members[k] = int32(binary.LittleEndian.Uint32(body[off+4*k:]))
+			d.Members[k] = int32(binary.LittleEndian.Uint32(arena[4*k:]))
 		}
-		r.off += 4 * total
 		snap.Indexes = append(snap.Indexes, d)
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	if r.off != len(body) {
-		return nil, fmt.Errorf("wal: %d trailing bytes in snapshot", len(body)-r.off)
+	if rest := len(r.Rest()); rest != 0 {
+		return nil, fmt.Errorf("wal: %d trailing bytes in snapshot", rest)
 	}
 	return snap, nil
 }
 
-// ints reads a count-prefixed int list, bounding the count by the remaining
-// input.
-func (r *reader) ints(what string) []int {
-	n := r.count(what+" count", uint64(len(r.data)-r.off))
-	if n == 0 || r.err != nil {
+// readInts reads a count-prefixed int list, bounding the count by the
+// remaining input.
+func readInts(r *relation.BinReader, what string) []int {
+	n := r.Count(what+" count", uint64(len(r.Rest())))
+	if n == 0 || r.Err() != nil {
 		return nil
 	}
 	out := make([]int, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, r.count(what, 1<<40))
+	for i := 0; i < n && r.Err() == nil; i++ {
+		out = append(out, r.Count(what, 1<<40))
 	}
 	return out
 }
@@ -324,7 +320,7 @@ func WriteSnapshotFS(fsys FS, dir string, snap *Snapshot, noFsync bool) error {
 
 // ReadSnapshotFS loads and decodes snapshot seq from dir.
 func ReadSnapshotFS(fsys FS, dir string, seq uint64) (*Snapshot, error) {
-	data, err := orFS(fsys).ReadFile(SnapshotPath(dir, seq))
+	data, err := OrOS(fsys).ReadFile(SnapshotPath(dir, seq))
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +339,7 @@ func ReadSnapshotFS(fsys FS, dir string, seq uint64) (*Snapshot, error) {
 // read back clean must not become the newest generation older state is
 // pruned against.
 func VerifySnapshot(fsys FS, dir string, seq uint64) bool {
-	data, err := orFS(fsys).ReadFile(SnapshotPath(dir, seq))
+	data, err := OrOS(fsys).ReadFile(SnapshotPath(dir, seq))
 	if err != nil || len(data) < len(snapMagic)+1+4 {
 		return false
 	}

@@ -34,7 +34,7 @@ type Log struct {
 // flushed synchronously; noFsync skips the fsync for tests and benchmarks
 // that measure everything but the disk.
 func CreateFS(fsys FS, path string, groupCommit int, noFsync bool) (*Log, error) {
-	f, err := orFS(fsys).Create(path)
+	f, err := OrOS(fsys).Create(path)
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +46,7 @@ func CreateFS(fsys FS, path string, groupCommit int, noFsync bool) (*Log, error)
 // have truncated any torn tail first (TruncateTornFS), or the appended records
 // would hide behind it forever.
 func OpenAppendFS(fsys FS, path string, groupCommit int, noFsync bool) (*Log, error) {
-	f, err := orFS(fsys).OpenAppend(path)
+	f, err := OrOS(fsys).OpenAppend(path)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +131,7 @@ func (l *Log) Close() error {
 // corrupt tail is not an error — valid simply stops short of the file size;
 // only I/O failures are.
 func ReadLogFS(fsys FS, path string) (payloads [][]byte, valid int64, size int64, err error) {
-	data, err := orFS(fsys).ReadFile(path)
+	data, err := OrOS(fsys).ReadFile(path)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -142,5 +142,5 @@ func ReadLogFS(fsys FS, path string) (payloads [][]byte, valid int64, size int64
 // TruncateTornFS truncates the log file at path to valid bytes, discarding a
 // torn tail so appended records follow the last complete one.
 func TruncateTornFS(fsys FS, path string, valid int64) error {
-	return orFS(fsys).Truncate(path, valid)
+	return OrOS(fsys).Truncate(path, valid)
 }

@@ -23,6 +23,7 @@ func sampleOps() []Op {
 		{Kind: OpAccept, Label: "F1", Names: []string{"region", "district"}},
 		{Kind: OpDrop, Label: "F1"},
 		{Kind: OpCompact},
+		{Kind: OpCheckpoint},
 	}
 }
 
@@ -36,6 +37,13 @@ func TestOpRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, op) {
 			t.Fatalf("op %d: got %+v want %+v", op.Kind, got, op)
 		}
+		// Only the two seal markers license a follower to leave a segment.
+		if seal := op.Kind == OpCompact || op.Kind == OpCheckpoint; SealOp(payload) != seal {
+			t.Fatalf("op %d: SealOp = %v, want %v", op.Kind, !seal, seal)
+		}
+	}
+	if SealOp(nil) {
+		t.Fatal("an empty payload is not a seal marker")
 	}
 }
 
@@ -150,6 +158,10 @@ func TestLogGroupCommit(t *testing.T) {
 	}
 	if len(got) != 7 || valid != size {
 		t.Fatalf("after flush: %d records, valid %d of %d", len(got), valid, size)
+	}
+	// Written is what size-based rotation reads: the flushed file size.
+	if l.Written() != size || l.Path() != path || l.Err() != nil {
+		t.Fatalf("log reports %d bytes at %q (err %v), file has %d at %q", l.Written(), l.Path(), l.Err(), size, path)
 	}
 	for i, p := range got {
 		if !bytes.Equal(p, rec(i)) {

@@ -362,8 +362,7 @@ func (f *Follower) MemStats() MemStats { return f.session().MemStats() }
 // DiscoveryStats describes the replica's maintained discovery borders.
 func (f *Follower) DiscoveryStats() DiscoveryStats { return f.session().DiscoveryStats() }
 
-// Consistent re-derives the replica's incremental state from scratch and
-// compares — the expensive invariant check, exposed for tests.
+// Consistent reports whether every defined FD holds on the replicated data.
 func (f *Follower) Consistent() bool { return f.session().Consistent() }
 
 // Relation exposes the replicated relation for read-only inspection.
