@@ -65,7 +65,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		balanced    = fs.Bool("balanced", false, "use the §4.4 objective (size + inconsistency + |goodness|) instead of minimal-first")
 		strategy    = fs.String("strategy", "pli", "counting strategy: pli, hash, sort, or sql")
 		interactive = fs.Bool("interactive", false, "ask the designer to accept/skip/drop each proposal (-strategy is ignored)")
-		discover    = fs.Bool("discover", false, "list minimal exact FDs instead of repairing (-max-lhs bounds antecedents)")
+		discover    = fs.Bool("discover", false, "list minimal exact FDs instead of repairing (-max-lhs bounds antecedents; -strategy is ignored)")
 		maxLHS      = fs.Int("max-lhs", 2, "antecedent size bound for -discover and the -watch 'disc' command")
 		watch       = fs.Bool("watch", false, "streaming REPL: append tuples and re-check incrementally (-strategy is ignored)")
 		dataDir     = fs.String("data-dir", "", "persist the -watch session (write-ahead log + snapshots) in this directory; rerun with the same directory to recover after a restart")
@@ -116,7 +116,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 
 	// -watch and -interactive drive a Session, which always counts
-	// incrementally; -strategy only selects the batch and -discover counter.
+	// incrementally, and -discover needs partitions; -strategy only selects
+	// the batch repair counter.
 	sessionOpts := evolvefd.Options{
 		FirstOnly:   !*all,
 		MaxAdded:    *maxAdded,
@@ -167,12 +168,12 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		}
 		return runInteractive(stdin, stdout, session, sessionOpts)
 	}
+	if *discover {
+		return runDiscover(stdout, pli.NewPLICounter(rel), *maxLHS)
+	}
 	counter, err := makeCounter(rel, *strategy)
 	if err != nil {
 		return err
-	}
-	if *discover {
-		return runDiscover(stdout, counter, *maxLHS)
 	}
 	parsed, err := parseAll(rel.Schema(), fds)
 	if err != nil {
@@ -231,7 +232,7 @@ func defineAll(session *evolvefd.Session, specs []string) error {
 
 // runDiscover lists the minimal exact FDs of the instance — the §2
 // "discover everything" baseline, exposed for comparison.
-func runDiscover(w io.Writer, counter pli.Counter, maxLHS int) error {
+func runDiscover(w io.Writer, counter pli.SearchCounter, maxLHS int) error {
 	schema := counter.Relation().Schema()
 	fds, stats := discovery.MinimalFDs(counter, discovery.Options{MaxLHS: maxLHS})
 	tab := texttable.New(

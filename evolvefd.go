@@ -738,30 +738,12 @@ type AdvisorSuggestion struct {
 	Spec string `json:"spec,omitempty"`
 }
 
-// DiscoveryStats mirrors the incremental discoverer's effort counters plus
-// the current border sizes — the observable that cover maintenance after a
-// mutation batch costs work proportional to the disturbed lattice region,
-// not to the lattice. Zero until DiscoverIncremental or Suggestions has
-// seeded a discoverer.
-type DiscoveryStats struct {
-	// Batches counts processed mutation batches.
-	Batches int
-	// Revalidated counts cover FDs whose generation stamps moved; cover FDs
-	// with unchanged stamps are skipped for free.
-	Revalidated int
-	// WitnessChecks counts O(|X|) violating-pair inspections on the invalid
-	// border; WitnessBroken counts pairs a batch destroyed.
-	WitnessChecks, WitnessBroken int
-	// Promoted, Demoted and Superseded count cover membership changes;
-	// FrontierExpanded counts lattice nodes probed around demotions.
-	Promoted, Demoted, Superseded, FrontierExpanded int
-	// Probes counts full count comparisons; Reseeds counts from-scratch
-	// re-discoveries (only NULL-eligibility changes trigger one).
-	Probes, Reseeds int
-	// CoverSize and BorderSize are the current minimal-cover and
-	// invalid-border sizes.
-	CoverSize, BorderSize int
-}
+// DiscoveryStats is the incremental discoverer's cumulative effort plus the
+// current cover and border sizes — the observable that cover maintenance
+// after a mutation batch costs work proportional to the disturbed lattice
+// region, not to the lattice. Zero until DiscoverIncremental or Suggestions
+// has seeded a discoverer.
+type DiscoveryStats = discovery.IncStats
 
 // Discover runs a one-shot levelwise discovery of the minimal exact FDs on
 // the current instance (the §2 "discover everything" baseline). For a
@@ -850,21 +832,7 @@ func (s *Session) DiscoveryStats() DiscoveryStats {
 	if s.disc == nil {
 		return DiscoveryStats{}
 	}
-	st := s.disc.Stats()
-	return DiscoveryStats{
-		Batches:          st.Batches,
-		Revalidated:      st.Revalidated,
-		WitnessChecks:    st.WitnessChecks,
-		WitnessBroken:    st.WitnessBroken,
-		Promoted:         st.Promoted,
-		Demoted:          st.Demoted,
-		Superseded:       st.Superseded,
-		FrontierExpanded: st.FrontierExpanded,
-		Probes:           st.Probes,
-		Reseeds:          st.Reseeds,
-		CoverSize:        s.disc.CoverSize(),
-		BorderSize:       s.disc.BorderSize(),
-	}
+	return s.disc.Stats()
 }
 
 // coverLocked returns the maintained cover under a held write lock, seeding

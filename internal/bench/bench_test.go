@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/evolvefd/evolvefd/internal/discovery"
 )
 
 // tinyConfig keeps experiment tests fast.
@@ -262,6 +264,24 @@ func TestDiscoverVsRepairOutput(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("discover-vs-repair output missing %q:\n%s", want, out)
 		}
+	}
+	// Discovery ran up to MaxLHS = |X| + |U|, so the targeted repair's exact
+	// XU → A has a minimal cover member W → A with W ⊆ XU, and that W's
+	// W \ X is among the repairs the experiment counts.
+	run, err := runDiscoverVsRepairOn(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	xu := run.fd.X.Union(run.rep.Added)
+	found := false
+	for _, w := range run.discovered {
+		found = found || (w.Y.Equal(run.fd.Y) && w.X.SubsetOf(xu))
+	}
+	if !found {
+		t.Errorf("no discovered W -> %v within the repair's X∪U %v: %v", run.fd.Y, xu, run.discovered)
+	}
+	if n := coverRepairs(run.discovered, run.fd); n < len(discovery.ExtensionsOf(run.discovered, run.fd)) || n == 0 {
+		t.Errorf("cover implies %d repairs, fewer than the extensions or none", n)
 	}
 }
 

@@ -34,59 +34,97 @@ func init() {
 	})
 }
 
-// runDiscoverVsRepair quantifies §2's argument against the alternative of
-// discovering all constraints and relaxing the stale ones: on the same
-// violated FD, it times (a) the paper's targeted repair and (b) full
-// minimal-FD discovery up to the matching antecedent size, then checks
-// whether discovery even produced an extension of the designer's FD.
-func runDiscoverVsRepair(cfg Config, w io.Writer) error {
+// discoverVsRepair is one run of the discover-vs-repair comparison: the
+// designer's violated FD, the targeted repair's extension U, and the minimal
+// cover discovered up to antecedent size |X| + |U|.
+type discoverVsRepair struct {
+	ds                   datasets.RealDataset
+	fd                   core.FD
+	rep                  core.Repair
+	repairStats          core.SearchStats
+	discovered           []core.FD
+	discStats            discovery.Stats
+	repairTime, discTime time.Duration
+}
+
+// runDiscoverVsRepairOn times, on the same violated FD, (a) the paper's
+// targeted repair and (b) full minimal-FD discovery up to the matching
+// antecedent size.
+func runDiscoverVsRepairOn(cfg Config) (*discoverVsRepair, error) {
 	rows := int(8000 * cfg.scale() / DefaultScale)
 	if rows < 300 {
 		rows = 300
 	}
-	ds := datasets.Image(rows)
-	r := ds.Relation
-	fd, err := core.ParseFD(r.Schema(), "F", ds.FDSpec)
+	out := &discoverVsRepair{ds: datasets.Image(rows)}
+	r := out.ds.Relation
+	fd, err := core.ParseFD(r.Schema(), "F", out.ds.FDSpec)
+	if err != nil {
+		return nil, err
+	}
+	out.fd = fd
+
+	// (a) Targeted repair.
+	start := time.Now()
+	rep, stats, ok := core.FindFirstRepair(pli.NewPLICounter(r), fd, core.RepairOptions{
+		Candidates: core.CandidateOptions{Parallelism: cfg.Parallelism},
+	})
+	out.repairTime = time.Since(start)
+	if !ok {
+		return nil, fmt.Errorf("image FD should be repairable")
+	}
+	out.rep, out.repairStats = rep, stats
+
+	// (b) Discover everything with antecedents up to the repaired size.
+	start = time.Now()
+	out.discovered, out.discStats = discovery.MinimalFDs(pli.NewPLICounter(r),
+		discovery.Options{MaxLHS: fd.X.Len() + rep.Added.Len()})
+	out.discTime = time.Since(start)
+	return out, nil
+}
+
+// coverRepairs counts the distinct repairs U = W \ X the discovered cover
+// offers for the designer FD X → A. Every cover member W → A with W ⊄ X
+// makes XU → A exact, whether or not W ⊋ X — ExtensionsOf counts only the
+// latter, which understates what discovery hands the designer.
+func coverRepairs(discovered []core.FD, designer core.FD) int {
+	seen := make(map[string]bool)
+	for _, w := range discovered {
+		if u := w.X.Diff(designer.X); w.Y.Equal(designer.Y) && !u.IsEmpty() {
+			seen[u.Key()] = true
+		}
+	}
+	return len(seen)
+}
+
+// runDiscoverVsRepair quantifies §2's argument against the alternative of
+// discovering all constraints and relaxing the stale ones, then checks
+// whether discovery even produced an extension of the designer's FD — and
+// how many repairs its cover implies.
+func runDiscoverVsRepair(cfg Config, w io.Writer) error {
+	run, err := runDiscoverVsRepairOn(cfg)
 	if err != nil {
 		return err
 	}
-
-	// (a) Targeted repair.
-	repairCounter := pli.NewPLICounter(r)
-	repairStart := time.Now()
-	rep, stats, ok := core.FindFirstRepair(repairCounter, fd, core.RepairOptions{
-		Candidates: core.CandidateOptions{Parallelism: cfg.Parallelism},
-	})
-	repairTime := time.Since(repairStart)
-	if !ok {
-		return fmt.Errorf("image FD should be repairable")
-	}
-
-	// (b) Discover everything with antecedents up to the repaired size,
-	// then look for extensions of the designer FD.
-	maxLHS := fd.X.Len() + rep.Added.Len()
-	discCounter := pli.NewPLICounter(r)
-	discStart := time.Now()
-	discovered, discStats := discovery.MinimalFDs(discCounter, discovery.Options{MaxLHS: maxLHS})
-	discTime := time.Since(discStart)
-	extensions := discovery.ExtensionsOf(discovered, fd)
-
+	r := run.ds.Relation
 	tab := texttable.New(
-		fmt.Sprintf("evolving %s on image (%d rows, %d attrs)", ds.FDSpec, rows, r.NumCols()),
+		fmt.Sprintf("evolving %s on image (%d rows, %d attrs)", run.ds.FDSpec, r.NumRows(), r.NumCols()),
 		"approach", "time", "work", "outcome").AlignRight(1)
-	tab.Add("targeted repair (this paper)", fmtDuration(repairTime),
-		fmt.Sprintf("%d candidates", stats.Evaluated),
-		fmt.Sprintf("repair +{%s}", r.Schema().FormatSet(rep.Added)))
-	tab.Add(fmt.Sprintf("discover all ≤%d-LHS minimal FDs, then relax", maxLHS),
-		fmtDuration(discTime),
-		fmt.Sprintf("%d checks", discStats.Checked),
-		fmt.Sprintf("%d FDs, %d extend the designer's", len(discovered), len(extensions)))
+	tab.Add("targeted repair (this paper)", fmtDuration(run.repairTime),
+		fmt.Sprintf("%d candidates", run.repairStats.Evaluated),
+		fmt.Sprintf("repair +{%s}", r.Schema().FormatSet(run.rep.Added)))
+	tab.Add(fmt.Sprintf("discover all ≤%d-LHS minimal FDs, then relax", run.fd.X.Len()+run.rep.Added.Len()),
+		fmtDuration(run.discTime),
+		fmt.Sprintf("%d checks", run.discStats.Checked),
+		fmt.Sprintf("%d FDs, %d extend the designer's, %d distinct repairs",
+			len(run.discovered), len(discovery.ExtensionsOf(run.discovered, run.fd)),
+			coverRepairs(run.discovered, run.fd)))
 	if _, err := io.WriteString(w, tab.Render()); err != nil {
 		return err
 	}
 	_, err = fmt.Fprintln(w, `shape check (§2): discovery costs orders of magnitude more than the
 targeted search, and its minimal FDs need not include any extension of the
-designer's dependency — both of the paper's objections, measured.`)
+designer's dependency — both of the paper's objections, measured. Every
+cover FD W → A still yields the repair U = W \ X (see EXPERIMENTS.md).`)
 	return err
 }
 

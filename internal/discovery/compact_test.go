@@ -22,7 +22,7 @@ func TestDiscovererOnCompactRemapsWitnesses(t *testing.T) {
 	counter := pli.NewIncrementalCounter(r)
 	d := NewIncrementalDiscoverer(counter, opts)
 	assertCoversEqual(t, "seed", r, d, opts)
-	if d.BorderSize() == 0 {
+	if d.Stats().BorderSize == 0 {
 		t.Fatal("test instance must leave a non-empty invalid border")
 	}
 
@@ -47,9 +47,9 @@ func TestDiscovererOnCompactRemapsWitnesses(t *testing.T) {
 	// inside the differential may probe only around witness churn from the
 	// delete itself, not re-enumerate the lattice (seeding probed every node
 	// once; a reseed would at least double it).
-	if st.Probes > probes+d.BorderSize() {
+	if st.Probes > probes+d.Stats().BorderSize {
 		t.Fatalf("compaction triggered %d fresh probes, want ≤ border size %d",
-			st.Probes-probes, d.BorderSize())
+			st.Probes-probes, d.Stats().BorderSize)
 	}
 
 	// Witnesses must now carry new-epoch row ids: every further batch relies

@@ -1,5 +1,9 @@
 // Package discovery implements levelwise discovery of minimal exact
-// functional dependencies (TANE-style, over the PLI substrate).
+// functional dependencies (TANE-style, over the PLI substrate), one-shot
+// (MinimalFDs) and maintained across DML (IncrementalDiscoverer). Both seed
+// through one lattice walk, and every validity test is one witness scan of
+// π_X: X → A holds iff each class of π_X is constant on A's codes, and the
+// first class that is not yields a violating row pair.
 //
 // It exists as the baseline the paper's §2 argues against: to update stale
 // constraints one could "first discover all the possible constraints from
@@ -19,6 +23,7 @@ import (
 	"github.com/evolvefd/evolvefd/internal/bitset"
 	"github.com/evolvefd/evolvefd/internal/core"
 	"github.com/evolvefd/evolvefd/internal/pli"
+	"github.com/evolvefd/evolvefd/internal/relation"
 )
 
 // Options bounds the discovery search.
@@ -46,87 +51,109 @@ type Stats struct {
 // NULL-free attributes of the instance: X → A holds and no proper subset of
 // X determines A. Results are sorted by consequent, then antecedent size,
 // then attribute order, so output is deterministic.
-func MinimalFDs(counter pli.Counter, opts Options) ([]core.FD, Stats) {
-	r := counter.Relation()
-	maxLHS := opts.MaxLHS
-	if maxLHS <= 0 {
-		maxLHS = 2
-	}
+func MinimalFDs(counter pli.SearchCounter, opts Options) ([]core.FD, Stats) {
 	var stats Stats
-
-	var pool []int
-	for c := 0; c < r.NumCols(); c++ {
-		if !r.HasNulls(c) {
-			pool = append(pool, c)
-		}
-	}
-	consequents := opts.Consequents
-	if consequents == nil {
-		consequents = pool
-	}
-
-	// A counter that hands out partitions answers validity by the refinement
-	// probe — X → A holds iff π_X refines π_A — which exits at the first
-	// split instead of building and counting the full X∪A product. When both
-	// partitions are all-dense (bitmap-backed classes only) the word-parallel
-	// count-only product answers the same question by pure AND/popcount with
-	// zero allocation, which beats the per-row probe walk. Counters without
-	// partition handles (hash, sort, SQL) keep the count equality.
-	partitions, _ := counter.(pli.SearchCounter)
-	valid := func(x, ySet bitset.Set) bool {
-		if partitions != nil {
-			px, py := partitions.Partition(x), partitions.Partition(ySet)
-			if px.AllDense() && py.AllDense() && px.NumStrippedClasses() > 0 {
-				// X → A iff π_{XA} does not split π_X, i.e. the product count
-				// equals |π_X|.
-				return px.ProductCount(py, nil) == px.NumClasses()
-			}
-			return px.RefinesOrEquals(py)
-		}
-		return counter.Count(x) == counter.Count(x.Union(ySet))
-	}
-
 	var out []core.FD
-	for _, y := range consequents {
-		if y < 0 || y >= r.NumCols() || r.HasNulls(y) {
-			continue
-		}
-		lhsPool := make([]int, 0, len(pool))
-		for _, c := range pool {
-			if c != y {
-				lhsPool = append(lhsPool, c)
-			}
-		}
-		// minimal holds the found minimal antecedents for y; any superset
-		// of one is pruned.
-		var minimal []bitset.Set
-		ySet := bitset.New(y)
-		for size := 1; size <= maxLHS; size++ {
-			forEachSubset(lhsPool, size, func(attrs []int) bool {
-				x := bitset.New(attrs...)
-				for _, m := range minimal {
-					if m.SubsetOf(x) {
-						stats.Pruned++
-						return true
-					}
-				}
-				stats.Checked++
-				if valid(x, ySet) {
-					minimal = append(minimal, x)
-					out = append(out, core.MustFD("", x, ySet))
-				}
-				return opts.MaxResults == 0 || len(out) < opts.MaxResults
-			})
-			if opts.MaxResults > 0 && len(out) >= opts.MaxResults {
-				break
-			}
-		}
-		if opts.MaxResults > 0 && len(out) >= opts.MaxResults {
+	maxLHS := maxLHSOf(opts)
+	for _, st := range lattice(counter.Relation(), opts.Consequents) {
+		more := walk(counter, st, maxLHS, &stats, func(x bitset.Set) bool {
+			out = append(out, core.MustFD("", x, st.ySet))
+			return opts.MaxResults == 0 || len(out) < opts.MaxResults
+		}, func(bitset.Set, int, int) {})
+		if !more {
 			break
 		}
 	}
 	sortFDs(out)
 	return out, stats
+}
+
+// maxLHSOf normalises the antecedent bound: 0 (or less) means 2.
+func maxLHSOf(opts Options) int {
+	if opts.MaxLHS <= 0 {
+		return 2
+	}
+	return opts.MaxLHS
+}
+
+// lattice is the one definition of the searched lattice: a state per
+// requested consequent (every NULL-free column when consequents is nil;
+// out-of-range and NULL-bearing ones are skipped), each with its antecedent
+// pool — the NULL-free columns other than the consequent.
+func lattice(r *relation.Relation, consequents []int) []*consequentState {
+	pool := r.NullFreeColumns().Members()
+	if consequents == nil {
+		consequents = pool
+	}
+	var states []*consequentState
+	for _, y := range consequents {
+		if y < 0 || y >= r.NumCols() || r.HasNulls(y) {
+			continue
+		}
+		st := &consequentState{y: y, ySet: bitset.New(y)}
+		for _, c := range pool {
+			if c != y {
+				st.pool = append(st.pool, c)
+			}
+		}
+		states = append(states, st)
+	}
+	return states
+}
+
+// walk is the levelwise search for one consequent: it enumerates the
+// antecedents in st.pool by size up to maxLHS, skips every superset of a
+// minimal antecedent already found (counted in stats.Pruned), and tests the
+// rest with one witness scan each (counted in stats.Checked). valid receives
+// each minimal valid antecedent and returns false to stop the walk; invalid
+// receives each invalid one with its violating pair. walk reports whether it
+// ran to completion.
+func walk(counter pli.SearchCounter, st *consequentState, maxLHS int, stats *Stats,
+	valid func(x bitset.Set) bool, invalid func(x bitset.Set, w1, w2 int)) bool {
+	codes := counter.Relation().ColumnCodes(st.y)
+	var minimal []bitset.Set
+	more := true
+	for size := 1; size <= maxLHS && more; size++ {
+		forEachSubset(st.pool, size, func(attrs []int) bool {
+			x := bitset.New(attrs...)
+			for _, m := range minimal {
+				if m.SubsetOf(x) {
+					stats.Pruned++
+					return true
+				}
+			}
+			stats.Checked++
+			if w1, w2 := witness(counter.Partition(x), codes); w1 >= 0 {
+				invalid(x, w1, w2)
+				return true
+			}
+			minimal = append(minimal, x)
+			more = valid(x)
+			return more
+		})
+	}
+	return more
+}
+
+// witness is the one validity test: X → A holds iff every stored class of
+// π_X is constant on A's column codes (singleton classes cannot violate, so
+// the stripped partition suffices). It returns the head of the first class
+// that is not and its first member with a different A-code — a violating row
+// pair — or (-1, -1) when the FD holds. ForEachClass streams arena views and
+// decoded bitmap classes without materialising a [][]int32.
+func witness(p *pli.Partition, codes []int32) (w1, w2 int) {
+	w1, w2 = -1, -1
+	p.ForEachClass(func(cls []int32) bool {
+		c0 := codes[cls[0]]
+		for _, row := range cls[1:] {
+			if codes[row] != c0 {
+				w1, w2 = int(cls[0]), int(row)
+				return false
+			}
+		}
+		return true
+	})
+	return w1, w2
 }
 
 // forEachSubset enumerates size-k subsets of pool in lexicographic order,

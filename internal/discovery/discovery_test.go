@@ -252,3 +252,79 @@ func TestForEachSubsetEdges(t *testing.T) {
 		t.Fatalf("early stop failed: %d", count)
 	}
 }
+
+// TestQuickWitnessMatchesCounts pins the one validity kernel against
+// counting: on random relations carrying deletes and updates, for every X
+// with |X| ≤ 2 and every A ∉ X, witness reports "holds" exactly when
+// HashCounter gives |π_X| = |π_XA|, and any pair it returns is two live rows
+// that agree on X and differ on A. Partitions come both from a PLICounter
+// and from an IncrementalCounter's tracked cluster maps.
+func TestQuickWitnessMatchesCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	cards := []int{3, 3, 2, 4}
+	randCells := func() []string {
+		cells := make([]string, len(cards))
+		for i, card := range cards {
+			cells[i] = string(rune('A' + rng.Intn(card)))
+		}
+		return cells
+	}
+	all := []int{0, 1, 2, 3}
+	for iter := 0; iter < 30; iter++ {
+		rows := make([][]string, 4+rng.Intn(20))
+		for i := range rows {
+			rows[i] = randCells()
+		}
+		r := buildRelation(t, []string{"a", "b", "c", "d"}, rows)
+		inc := pli.NewIncrementalCounter(r)
+		var sets []bitset.Set
+		for size := 1; size <= 2; size++ {
+			forEachSubset(all, size, func(attrs []int) bool {
+				sets = append(sets, bitset.New(attrs...))
+				return true
+			})
+		}
+		inc.TrackBatch(sets)
+		for op := 0; op < 6; op++ {
+			row := rng.Intn(r.NumRows())
+			if r.IsDeleted(row) {
+				continue
+			}
+			var err error
+			if rng.Intn(2) == 0 {
+				err = inc.Delete(row)
+			} else {
+				err = inc.UpdateStrings(row, randCells()...)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		hash, plic := pli.NewHashCounter(r), pli.NewPLICounter(r)
+		for _, x := range sets {
+			for _, a := range all {
+				if x.Contains(a) {
+					continue
+				}
+				holds := hash.Count(x) == hash.Count(x.With(a))
+				codes := r.ColumnCodes(a)
+				for name, p := range map[string]*pli.Partition{"pli": plic.Partition(x), "tracked": inc.Partition(x)} {
+					w1, w2 := witness(p, codes)
+					if (w1 < 0) != holds {
+						t.Fatalf("iter %d %s: witness(%v -> %d) = (%d,%d), counts say holds=%v", iter, name, x, a, w1, w2, holds)
+					}
+					if w1 < 0 {
+						continue
+					}
+					agree := true
+					for _, c := range x.Members() {
+						agree = agree && r.ColumnCodes(c)[w1] == r.ColumnCodes(c)[w2]
+					}
+					if r.IsDeleted(w1) || r.IsDeleted(w2) || !agree || codes[w1] == codes[w2] {
+						t.Fatalf("iter %d %s: (%d,%d) is no violating pair of %v -> %d", iter, name, w1, w2, x, a)
+					}
+				}
+			}
+		}
+	}
+}

@@ -23,7 +23,7 @@ type IncStats struct {
 	Revalidated int
 	// WitnessChecks counts O(|X|) violating-pair inspections on the invalid
 	// border; WitnessBroken counts how many of those pairs the batch
-	// destroyed (forcing a full count probe).
+	// destroyed (forcing a probe).
 	WitnessChecks, WitnessBroken int
 	// Promoted counts FDs that entered the cover (newly minimal and valid);
 	// Demoted counts cover FDs a batch broke; Superseded counts cover FDs
@@ -32,14 +32,17 @@ type IncStats struct {
 	// FrontierExpanded counts lattice nodes probed while searching the
 	// specialization frontier above a demoted FD.
 	FrontierExpanded int
-	// Probes counts full |π_X| = |π_XA| comparisons (each O(n) on first
-	// touch); the incremental claim is that Probes grows with the disturbed
-	// region, not with the lattice.
+	// Probes counts witness scans of π_X (each O(n) on first touch); the
+	// incremental claim is that Probes grows with the disturbed region, not
+	// with the lattice.
 	Probes int
 	// Reseeds counts full from-scratch re-discoveries, triggered only when a
 	// column's NULL-eligibility changed (a NULL appeared in, or the last
 	// NULL left, a column's live rows — which redraws the whole lattice).
 	Reseeds int
+	// CoverSize and BorderSize are the current minimal-cover and
+	// invalid-border sizes, not cumulative counts.
+	CoverSize, BorderSize int
 }
 
 // coverFD is one member of the positive border: a minimal valid FD X → A
@@ -54,7 +57,7 @@ type coverFD struct {
 // borderFD is one member of the negative border: an invalid FD X → A
 // carrying a witness — two live rows that agree on X and differ on A. The
 // FD stays invalid exactly as long as some such pair exists, so checking
-// the stored pair in O(|X|) per batch replaces an O(n) count probe; only a
+// the stored pair in O(|X|) per batch replaces an O(n) probe; only a
 // batch that destroys the pair (deletes a row, or updates a cell of one)
 // forces a re-probe.
 type borderFD struct {
@@ -79,8 +82,8 @@ type consequentState struct {
 // batch, so lattice nodes reachable from several demoted or flipped FDs are
 // probed at most once per batch.
 type batchCtx struct {
-	memo      map[string]bool // set key → validity, for sets probed this batch
-	descended map[string]bool // set key → searchDown already explored it
+	memo      map[string][2]int // set key → probe's witness pair ((-1,-1) = valid)
+	descended map[string]bool   // set key → searchDown already explored it
 }
 
 // IncrementalDiscoverer maintains the minimal exact-FD cover of an evolving
@@ -137,37 +140,21 @@ type IncrementalDiscoverer struct {
 // witness pair for every invalid border FD. Stats start at zero; the seed's
 // cost is the caller-visible construction time.
 func NewIncrementalDiscoverer(counter *pli.IncrementalCounter, opts Options) *IncrementalDiscoverer {
-	d := &IncrementalDiscoverer{counter: counter, opts: opts, maxLHS: opts.MaxLHS}
-	if d.maxLHS <= 0 {
-		d.maxLHS = 2
-	}
+	d := &IncrementalDiscoverer{counter: counter, opts: opts, maxLHS: maxLHSOf(opts)}
 	d.reseed()
 	d.stats = IncStats{}
 	return d
 }
 
-// Counter returns the underlying incremental counter.
-func (d *IncrementalDiscoverer) Counter() *pli.IncrementalCounter { return d.counter }
-
-// Stats returns cumulative maintenance effort since construction.
-func (d *IncrementalDiscoverer) Stats() IncStats { return d.stats }
-
-// CoverSize reports the number of FDs in the maintained minimal cover.
-func (d *IncrementalDiscoverer) CoverSize() int {
-	n := 0
-	for _, st := range d.states {
-		n += len(st.valid)
+// Stats returns cumulative maintenance effort since construction, with the
+// current cover and border sizes.
+func (d *IncrementalDiscoverer) Stats() IncStats {
+	st := d.stats
+	for _, s := range d.states {
+		st.CoverSize += len(s.valid)
+		st.BorderSize += len(s.invalid)
 	}
-	return n
-}
-
-// BorderSize reports the number of witnessed FDs on the invalid border.
-func (d *IncrementalDiscoverer) BorderSize() int {
-	n := 0
-	for _, st := range d.states {
-		n += len(st.invalid)
-	}
-	return n
+	return st
 }
 
 // Cover syncs with any pending relation mutations and returns the minimal
@@ -177,7 +164,7 @@ func (d *IncrementalDiscoverer) BorderSize() int {
 func (d *IncrementalDiscoverer) Cover() []core.FD {
 	d.Sync()
 	if d.coverCache == nil {
-		out := make([]core.FD, 0, d.CoverSize())
+		out := make([]core.FD, 0, d.Stats().CoverSize)
 		for _, st := range d.states {
 			for _, f := range st.valid {
 				out = append(out, core.MustFD("", f.x, st.ySet))
@@ -200,7 +187,6 @@ func (d *IncrementalDiscoverer) Sync() {
 		// correct fallback, like the counter's own out-of-band rebuild.
 		d.stats.Batches++
 		d.stats.Reseeds++
-		d.coverCache = nil
 		d.reseed()
 		return
 	}
@@ -221,7 +207,7 @@ func (d *IncrementalDiscoverer) Sync() {
 		return
 	}
 	for _, st := range d.states {
-		ctx := &batchCtx{memo: make(map[string]bool), descended: make(map[string]bool)}
+		ctx := &batchCtx{memo: make(map[string][2]int), descended: make(map[string]bool)}
 		d.revalidateCover(st, ctx)
 		if dml {
 			d.checkWitnesses(st, ctx)
@@ -261,73 +247,42 @@ func (d *IncrementalDiscoverer) OnCompact(m *relation.Remap) {
 	// coverCache holds attribute sets only — row-id free, still valid.
 }
 
-// reseed rebuilds every consequent's borders from scratch with a levelwise
-// pass — construction, and the fallback when a column's NULL-eligibility
-// changed. Callers account it in stats.
-func (d *IncrementalDiscoverer) reseed() {
+// reset points the discoverer at the relation's current state, with empty
+// borders over the lattice the options describe.
+func (d *IncrementalDiscoverer) reset() {
 	r := d.counter.Relation()
 	d.prevRows, d.prevMuts = r.NumRows(), r.Mutations()
 	d.prevEpoch = r.Epoch()
 	d.eligible = r.NullFreeColumns()
-	d.states = nil
+	d.states = lattice(r, d.opts.Consequents)
 	d.coverCache = nil
-
-	var pool []int
-	for c := 0; c < r.NumCols(); c++ {
-		if !r.HasNulls(c) {
-			pool = append(pool, c)
-		}
-	}
-	consequents := d.opts.Consequents
-	if consequents == nil {
-		consequents = pool
-	}
-	for _, y := range consequents {
-		if y < 0 || y >= r.NumCols() || r.HasNulls(y) {
-			continue
-		}
-		st := &consequentState{y: y, ySet: bitset.New(y)}
-		for _, c := range pool {
-			if c != y {
-				st.pool = append(st.pool, c)
-			}
-		}
-		// Registered before seeding so the capacity raises that promote
-		// performs see this consequent's growing cover too.
-		d.states = append(d.states, st)
-		d.seedConsequent(st)
-	}
-	d.ensureCapacity()
 }
 
-// seedConsequent runs the levelwise search for one consequent, mirroring
-// MinimalFDs' enumeration order and pruning, and additionally records every
-// probed invalid set on the witnessed border (keeping only maximal members:
-// every invalid set within the bound is probed here, because only valid
-// regions are pruned).
-func (d *IncrementalDiscoverer) seedConsequent(st *consequentState) {
-	for size := 1; size <= d.maxLHS; size++ {
-		forEachSubset(st.pool, size, func(attrs []int) bool {
-			x := bitset.New(attrs...)
-			if d.coverDominates(st, x) {
-				return true
-			}
-			if d.probe(st, x) {
-				d.promote(st, x)
-			} else {
-				d.addInvalid(st, x)
-			}
+// reseed rebuilds every consequent's borders from scratch through
+// MinimalFDs' walk — construction, and the fallback when a column's
+// NULL-eligibility changed. The walk prunes only valid regions, so every
+// invalid set within the bound reaches the border (addInvalid keeps the
+// maximal ones). Callers account the reseed in stats; its witness scans
+// count as probes.
+func (d *IncrementalDiscoverer) reseed() {
+	d.reset()
+	var seed Stats
+	for _, st := range d.states {
+		walk(d.counter, st, d.maxLHS, &seed, func(x bitset.Set) bool {
+			d.promote(st, x)
 			return true
-		})
+		}, func(x bitset.Set, w1, w2 int) { d.addInvalid(st, x, w1, w2) })
 	}
+	d.stats.Probes += seed.Checked
+	d.ensureCapacity()
 }
 
 // revalidateCover re-checks every cover FD against the new instance. FDs
 // whose two generation stamps are unchanged are provably still valid and
 // cost two map lookups; FDs whose stamps moved re-compare their counts
-// (already materialised by the stamp query); the broken ones are demoted to
-// the invalid border and their specialization frontier is searched for the
-// minimal FDs that replace them.
+// (already materialised by the stamp query); the broken ones take one
+// witness scan onto the invalid border, and their specialization frontier is
+// searched for the minimal FDs that replace them.
 func (d *IncrementalDiscoverer) revalidateCover(st *consequentState, ctx *batchCtx) {
 	var broken []bitset.Set
 	kept := st.valid[:0]
@@ -350,10 +305,12 @@ func (d *IncrementalDiscoverer) revalidateCover(st *consequentState, ctx *batchC
 	if len(broken) == 0 {
 		return
 	}
+	codes := d.counter.Relation().ColumnCodes(st.y)
 	for _, x := range broken {
 		d.stats.Demoted++
-		ctx.memo[x.Key()] = false
-		d.addInvalid(st, x)
+		w1, w2 := witness(d.counter.Partition(x), codes)
+		ctx.memo[x.Key()] = [2]int{w1, w2}
+		d.addInvalid(st, x, w1, w2)
 	}
 	d.expandUp(st, broken, ctx)
 }
@@ -389,12 +346,12 @@ func (d *IncrementalDiscoverer) expandUp(st *consequentState, seeds []bitset.Set
 					continue
 				}
 				d.stats.FrontierExpanded++
-				valid := d.probe(st, child)
-				ctx.memo[key] = valid
-				if valid {
+				w1, w2 := d.probe(st, child)
+				ctx.memo[key] = [2]int{w1, w2}
+				if w1 < 0 {
 					d.promote(st, child)
 				} else {
-					d.addInvalid(st, child)
+					d.addInvalid(st, child, w1, w2)
 					levels[size+1] = append(levels[size+1], child)
 				}
 			}
@@ -417,13 +374,13 @@ func (d *IncrementalDiscoverer) checkWitnesses(st *consequentState, ctx *batchCt
 			continue
 		}
 		d.stats.WitnessBroken++
-		if d.probe(st, b.x) {
-			ctx.memo[b.x.Key()] = true
+		w1, w2 := d.probe(st, b.x)
+		ctx.memo[b.x.Key()] = [2]int{w1, w2}
+		if w1 < 0 {
 			flipped = append(flipped, b.x)
 			continue
 		}
-		ctx.memo[b.x.Key()] = false
-		b.w1, b.w2 = d.mustWitness(st, b.x)
+		b.w1, b.w2 = w1, w2
 		kept = append(kept, b)
 	}
 	st.invalid = kept
@@ -451,20 +408,19 @@ func (d *IncrementalDiscoverer) searchDown(st *consequentState, w bitset.Set, ct
 		for _, b := range w.Members() {
 			g := w.Without(b)
 			gKey := g.Key()
-			valid, seen := ctx.memo[gKey]
+			pair, seen := ctx.memo[gKey]
 			if !seen {
-				if d.coverDominates(st, g) {
-					valid = true
-				} else {
-					valid = d.probe(st, g)
+				pair = [2]int{-1, -1}
+				if !d.coverDominates(st, g) {
+					pair[0], pair[1] = d.probe(st, g)
 				}
-				ctx.memo[gKey] = valid
+				ctx.memo[gKey] = pair
 			}
-			if valid {
+			if pair[0] < 0 {
 				anyValid = true
 				d.searchDown(st, g, ctx)
 			} else {
-				d.addInvalid(st, g)
+				d.addInvalid(st, g, pair[0], pair[1])
 			}
 		}
 	}
@@ -473,11 +429,12 @@ func (d *IncrementalDiscoverer) searchDown(st *consequentState, w bitset.Set, ct
 	}
 }
 
-// probe compares |π_X| with |π_XA| on the current instance — the one
-// operation whose count IncStats.Probes bounds.
-func (d *IncrementalDiscoverer) probe(st *consequentState, x bitset.Set) bool {
+// probe tests X → A on the current instance with one witness scan of π_X —
+// the one operation whose count IncStats.Probes bounds. It returns the
+// violating pair, or (-1, -1) when the FD holds.
+func (d *IncrementalDiscoverer) probe(st *consequentState, x bitset.Set) (int, int) {
 	d.stats.Probes++
-	return d.counter.Count(x) == d.counter.Count(x.Union(st.ySet))
+	return witness(d.counter.Partition(x), d.counter.Relation().ColumnCodes(st.y))
 }
 
 // promote installs x as a minimal cover FD (idempotently), recording the
@@ -507,17 +464,16 @@ func (d *IncrementalDiscoverer) promote(st *consequentState, x bitset.Set) {
 	d.stats.Promoted++
 }
 
-// addInvalid records x on the witnessed border unless an existing member
-// already covers it (x ⊆ member ⇒ member's witness shields x's whole
-// down-set), dropping members x itself covers so the border stays an
-// antichain of maximal invalid sets.
-func (d *IncrementalDiscoverer) addInvalid(st *consequentState, x bitset.Set) {
+// addInvalid records x with its violating pair (w1, w2) on the witnessed
+// border unless an existing member already covers it (x ⊆ member ⇒
+// member's witness shields x's whole down-set), dropping members x itself
+// covers so the border stays an antichain of maximal invalid sets.
+func (d *IncrementalDiscoverer) addInvalid(st *consequentState, x bitset.Set, w1, w2 int) {
 	for _, b := range st.invalid {
 		if x.SubsetOf(b.x) {
 			return
 		}
 	}
-	w1, w2 := d.mustWitness(st, x)
 	kept := st.invalid[:0]
 	for _, b := range st.invalid {
 		if b.x.SubsetOf(x) {
@@ -545,31 +501,6 @@ func (d *IncrementalDiscoverer) witnessIntact(st *consequentState, b *borderFD) 
 	}
 	codes := r.ColumnCodes(st.y)
 	return codes[b.w1] != codes[b.w2]
-}
-
-// mustWitness extracts a violating pair for an FD the caller just proved
-// invalid: two rows of one antecedent cluster with different consequent
-// codes. Singleton clusters cannot violate, so scanning the stripped
-// partition suffices; ForEachClass streams arena views and decoded bitmap
-// classes without materialising a [][]int32.
-func (d *IncrementalDiscoverer) mustWitness(st *consequentState, x bitset.Set) (int, int) {
-	p := d.counter.Partition(x)
-	codes := d.counter.Relation().ColumnCodes(st.y)
-	w1, w2 := -1, -1
-	p.ForEachClass(func(cls []int32) bool {
-		c0 := codes[cls[0]]
-		for _, row := range cls[1:] {
-			if codes[row] != c0 {
-				w1, w2 = int(cls[0]), int(row)
-				return false
-			}
-		}
-		return true
-	})
-	if w1 < 0 {
-		panic(fmt.Sprintf("discovery: no witness for invalid FD %v -> %d", x, st.y))
-	}
-	return w1, w2
 }
 
 // coverDominates reports whether some cover member is a subset of x, i.e.

@@ -193,7 +193,8 @@ func TestIncrementalDiscovererStats(t *testing.T) {
 	})
 	counter := pli.NewIncrementalCounter(r)
 	d := NewIncrementalDiscoverer(counter, Options{MaxLHS: 2})
-	if got := d.Stats(); got != (IncStats{}) {
+	// The effort counters start at zero; the two sizes describe the seed.
+	if got := d.Stats(); got != (IncStats{CoverSize: got.CoverSize, BorderSize: got.BorderSize}) {
 		t.Fatalf("stats must start at zero, got %+v", got)
 	}
 
@@ -279,10 +280,38 @@ func TestIncrementalDiscovererCoverSorted(t *testing.T) {
 			t.Fatalf("cover not sorted at %d: %v", i, cover)
 		}
 	}
-	if d.CoverSize() != len(cover) {
-		t.Fatalf("CoverSize %d != len(Cover) %d", d.CoverSize(), len(cover))
+	if st := d.Stats(); st.CoverSize != len(cover) {
+		t.Fatalf("CoverSize %d != len(Cover) %d", st.CoverSize, len(cover))
 	}
-	if d.BorderSize() == 0 {
+	if d.Stats().BorderSize == 0 {
 		t.Fatal("expected a non-empty invalid border on this instance")
+	}
+}
+
+// TestIncrementalSeedBuildsNoProducts pins what seeding through the shared
+// walk saves: validity is a witness scan of π_X, so no XA product is built.
+// At MaxLHS 1 every antecedent is one column and the seed builds no
+// multi-column partition at all; at MaxLHS 2 it builds at most one per
+// antecedent pair, C(5,2) = 10.
+func TestIncrementalSeedBuildsNoProducts(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	rows := make([][]string, 40)
+	for i := range rows {
+		rows[i] = make([]string, 5)
+		for c := range rows[i] {
+			rows[i][c] = string(rune('A' + rng.Intn(2+c)))
+		}
+	}
+	r := buildRelation(t, []string{"a", "b", "c", "d", "e"}, rows)
+	for _, tc := range []struct {
+		maxLHS    int
+		maxBuilds uint64
+	}{{1, 0}, {2, 10}} {
+		counter := pli.NewIncrementalCounter(r)
+		d := NewIncrementalDiscoverer(counter, Options{MaxLHS: tc.maxLHS})
+		if got := counter.MultiColumnBuilds(); got > tc.maxBuilds {
+			t.Fatalf("MaxLHS %d: seeding built %d multi-column partitions, want ≤ %d", tc.maxLHS, got, tc.maxBuilds)
+		}
+		assertCoversEqual(t, fmt.Sprintf("MaxLHS %d seed", tc.maxLHS), r, d, Options{MaxLHS: tc.maxLHS})
 	}
 }

@@ -2,7 +2,7 @@ package discovery
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/evolvefd/evolvefd/internal/bitset"
 	"github.com/evolvefd/evolvefd/internal/pli"
@@ -68,112 +68,68 @@ func (d *IncrementalDiscoverer) ExportBorders() *BorderSnapshot {
 
 // RestoreDiscoverer rebuilds an IncrementalDiscoverer from a BorderSnapshot
 // over a counter whose relation matches the instance the snapshot was taken
-// against. Every imported fact is re-validated against the live instance —
-// cover FDs by re-counting (which also mints fresh generation stamps),
-// border FDs by checking their witness pair — so a snapshot that does not
-// describe this instance is rejected with an error, never trusted. The cost
-// is O(border size) count probes instead of the O(lattice) levelwise reseed
-// NewIncrementalDiscoverer pays, which is the recovery speedup.
+// against. The snapshot must describe the lattice opts does — the same
+// bound, eligible columns and consequents — and every imported fact is
+// re-validated against the live instance: cover FDs by re-counting (which
+// also mints fresh generation stamps), border FDs by checking their witness
+// pair. A snapshot that does not describe this instance is rejected with an
+// error, never trusted. The cost is O(border size) count probes instead of
+// the O(lattice) levelwise reseed NewIncrementalDiscoverer pays, which is
+// the recovery speedup.
 func RestoreDiscoverer(counter *pli.IncrementalCounter, opts Options, snap *BorderSnapshot) (*IncrementalDiscoverer, error) {
-	d := &IncrementalDiscoverer{counter: counter, opts: opts, maxLHS: opts.MaxLHS}
-	if d.maxLHS <= 0 {
-		d.maxLHS = 2
-	}
+	d := &IncrementalDiscoverer{counter: counter, opts: opts, maxLHS: maxLHSOf(opts)}
 	if snap.MaxLHS != d.maxLHS {
 		return nil, fmt.Errorf("discovery: snapshot built with MaxLHS %d, session wants %d", snap.MaxLHS, d.maxLHS)
 	}
-	r := counter.Relation()
-	d.prevRows, d.prevMuts = r.NumRows(), r.Mutations()
-	d.prevEpoch = r.Epoch()
-	d.eligible = r.NullFreeColumns()
-	if got := d.eligible.Members(); !equalInts(got, snap.Eligible) {
+	d.reset()
+	if got := d.eligible.Members(); !slices.Equal(got, snap.Eligible) {
 		return nil, fmt.Errorf("discovery: snapshot eligible columns %v, relation has %v", snap.Eligible, got)
 	}
-
-	var pool []int
-	for c := 0; c < r.NumCols(); c++ {
-		if !r.HasNulls(c) {
-			pool = append(pool, c)
-		}
+	var got, want []int
+	for _, cs := range snap.States {
+		got = append(got, cs.Y)
 	}
-	checkAttrs := func(attrs []int) error {
+	for _, st := range d.states {
+		want = append(want, st.y)
+	}
+	if !slices.Equal(got, want) {
+		return nil, fmt.Errorf("discovery: snapshot consequents %v, options describe %v", got, want)
+	}
+
+	r := counter.Relation()
+	// antecedent parses one snapshot antecedent of st: non-empty, within the
+	// size bound, strictly ascending and drawn from st's pool.
+	antecedent := func(st *consequentState, attrs []int) (bitset.Set, error) {
 		if len(attrs) == 0 || len(attrs) > d.maxLHS {
-			return fmt.Errorf("discovery: snapshot antecedent %v outside size bound %d", attrs, d.maxLHS)
+			return bitset.Set{}, fmt.Errorf("discovery: snapshot antecedent %v outside size bound %d", attrs, d.maxLHS)
 		}
-		if !sort.IntsAreSorted(attrs) {
-			return fmt.Errorf("discovery: snapshot antecedent %v not sorted", attrs)
-		}
+		pool := bitset.New(st.pool...)
 		for i, a := range attrs {
-			if a < 0 || a >= r.NumCols() || r.HasNulls(a) {
-				return fmt.Errorf("discovery: snapshot antecedent %v names ineligible column %d", attrs, a)
+			if i > 0 && attrs[i-1] >= a {
+				return bitset.Set{}, fmt.Errorf("discovery: snapshot antecedent %v not strictly ascending", attrs)
 			}
-			if i > 0 && attrs[i-1] == a {
-				return fmt.Errorf("discovery: snapshot antecedent %v repeats column %d", attrs, a)
+			if !pool.Contains(a) {
+				return bitset.Set{}, fmt.Errorf("discovery: snapshot antecedent %v names column %d outside the lattice of consequent %d", attrs, a, st.y)
 			}
 		}
-		return nil
+		return bitset.New(attrs...), nil
 	}
-	// Re-register every cover antecedent (and its Y-extension) in one
-	// parallel sweep before the validation loop: each is a full fold over
-	// the instance, and folding them one CountWithGen at a time is what
-	// would dominate recovery time. The loop below then validates against
-	// the already-built indexes in O(1) per FD.
-	// Malformed snapshot entries are skipped here — the validation loop
-	// below reaches them and reports the error.
 	var coverSets []bitset.Set
-	for _, cs := range snap.States {
-		if cs.Y < 0 || cs.Y >= r.NumCols() || r.HasNulls(cs.Y) {
-			continue
-		}
+	for i, cs := range snap.States {
+		st := d.states[i]
 		for _, attrs := range cs.Valid {
-			if checkAttrs(attrs) != nil {
-				continue
-			}
-			x := bitset.New(attrs...)
-			coverSets = append(coverSets, x, x.Union(bitset.New(cs.Y)))
-		}
-	}
-	counter.TrackBatch(coverSets)
-
-	seenY := make(map[int]bool)
-	for _, cs := range snap.States {
-		if cs.Y < 0 || cs.Y >= r.NumCols() || r.HasNulls(cs.Y) {
-			return nil, fmt.Errorf("discovery: snapshot consequent %d ineligible", cs.Y)
-		}
-		if seenY[cs.Y] {
-			return nil, fmt.Errorf("discovery: snapshot repeats consequent %d", cs.Y)
-		}
-		seenY[cs.Y] = true
-		st := &consequentState{y: cs.Y, ySet: bitset.New(cs.Y)}
-		for _, c := range pool {
-			if c != cs.Y {
-				st.pool = append(st.pool, c)
-			}
-		}
-		d.states = append(d.states, st)
-		for _, attrs := range cs.Valid {
-			if err := checkAttrs(attrs); err != nil {
+			x, err := antecedent(st, attrs)
+			if err != nil {
 				return nil, err
 			}
-			x := bitset.New(attrs...)
-			if x.Contains(cs.Y) {
-				return nil, fmt.Errorf("discovery: snapshot cover FD %v -> %d is trivial", attrs, cs.Y)
-			}
-			xa := x.Union(st.ySet)
-			cntX, genX := counter.CountWithGen(x)
-			cntXA, genXA := counter.CountWithGen(xa)
-			if cntX != cntXA {
-				return nil, fmt.Errorf("discovery: snapshot cover FD %v -> %d does not hold on the instance", attrs, cs.Y)
-			}
-			st.valid = append(st.valid, &coverFD{x: x, xa: xa, genX: genX, genXA: genXA})
+			f := &coverFD{x: x, xa: x.Union(st.ySet)}
+			st.valid = append(st.valid, f)
+			coverSets = append(coverSets, f.x, f.xa)
 		}
 		for _, w := range cs.Invalid {
-			if err := checkAttrs(w.X); err != nil {
+			x, err := antecedent(st, w.X)
+			if err != nil {
 				return nil, err
-			}
-			x := bitset.New(w.X...)
-			if x.Contains(cs.Y) {
-				return nil, fmt.Errorf("discovery: snapshot border FD %v -> %d is trivial", w.X, cs.Y)
 			}
 			if w.W1 < 0 || w.W1 >= r.NumRows() || w.W2 < 0 || w.W2 >= r.NumRows() || w.W1 == w.W2 {
 				return nil, fmt.Errorf("discovery: snapshot witness (%d,%d) of %v -> %d out of range", w.W1, w.W2, w.X, cs.Y)
@@ -185,19 +141,21 @@ func RestoreDiscoverer(counter *pli.IncrementalCounter, opts Options, snap *Bord
 			st.invalid = append(st.invalid, b)
 		}
 	}
-	d.ensureCapacity()
-	return d, nil
-}
-
-// equalInts reports whether two int slices hold the same sequence.
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	// Re-register every cover antecedent (and its Y-extension) in one
+	// parallel sweep: each is a full fold over the instance, and folding them
+	// one CountWithGen at a time is what would dominate recovery time. The
+	// stamps below then come from the already-built indexes in O(1) per FD.
+	counter.TrackBatch(coverSets)
+	for _, st := range d.states {
+		for _, f := range st.valid {
+			var cntX, cntXA int
+			cntX, f.genX = counter.CountWithGen(f.x)
+			cntXA, f.genXA = counter.CountWithGen(f.xa)
+			if cntX != cntXA {
+				return nil, fmt.Errorf("discovery: snapshot cover FD %v -> %d does not hold on the instance", f.x.Members(), st.y)
+			}
 		}
 	}
-	return true
+	d.ensureCapacity()
+	return d, nil
 }

@@ -122,11 +122,6 @@ func (p *Partition) addDenseWords(words []uint64, count int32) {
 	p.bitLens = append(p.bitLens, count)
 }
 
-// AllDense reports whether every stored class is bitmap-backed (no arena
-// classes). Products of two all-dense partitions run entirely on the word
-// kernels — no probe table, no member scatter.
-func (p *Partition) AllDense() bool { return p.numSparse() == 0 }
-
 // NumRows returns the number of (live) tuples the partition covers.
 func (p *Partition) NumRows() int { return p.numRows }
 
@@ -722,41 +717,6 @@ func (p *Partition) clearProbe(probe []int32) {
 			}
 		}
 	}
-}
-
-// RefinesOrEquals reports whether p refines q (every class of p is contained
-// in one class of q). Rather than building the full product and comparing
-// class counts, it probes q's clustering directly and returns false at the
-// first split it finds: the first member of a p-class that is a q-singleton,
-// or two members landing in different q-classes.
-func (p *Partition) RefinesOrEquals(q *Partition) bool {
-	n := p.probeExtent()
-	if qn := q.probeExtent(); qn > n {
-		n = qn
-	}
-	scratch := getScratch(n)
-	probe := scratch.probe
-	q.fillProbe(probe)
-	ok := true
-	p.ForEachClass(func(members []int32) bool {
-		qc := probe[members[0]]
-		if qc < 0 {
-			// A stored p-class has ≥ 2 rows; its first member being a
-			// q-singleton already splits it.
-			ok = false
-			return false
-		}
-		for _, row := range members[1:] {
-			if probe[row] != qc {
-				ok = false
-				return false
-			}
-		}
-		return true
-	})
-	q.clearProbe(probe)
-	putScratch(scratch)
-	return ok
 }
 
 // sortedClasses returns the stored classes fully materialised with rows

@@ -108,24 +108,6 @@ func TestPartitionError(t *testing.T) {
 	}
 }
 
-func TestRefinesOrEquals(t *testing.T) {
-	r := buildRelation(t, []string{"a", "b"}, [][]string{
-		{"1", "x"}, {"1", "x"}, {"2", "x"}, {"3", "y"},
-	})
-	pa := FromColumn(r, 0) // {1,1},{2},{3}
-	pb := FromColumn(r, 1) // {x,x,x},{y}
-	pab := pa.Product(pb, nil)
-	if !pa.RefinesOrEquals(pb) {
-		t.Fatal("π_a refines π_b here (a→b holds)")
-	}
-	if pb.RefinesOrEquals(pa) {
-		t.Fatal("π_b does not refine π_a")
-	}
-	if !pab.RefinesOrEquals(pa) || !pab.RefinesOrEquals(pb) {
-		t.Fatal("π_ab refines both factors")
-	}
-}
-
 func randomRelation(rng *rand.Rand, rows, cols, domain int) *relation.Relation {
 	names := make([]string, cols)
 	for i := range names {

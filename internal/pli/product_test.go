@@ -163,7 +163,7 @@ func TestProductParallelBitIdentical(t *testing.T) {
 		for c := range parts {
 			parts[c] = FromColumn(r, c)
 		}
-		if !parts[0].AllDense() || len(parts[0].bitLens) == 0 {
+		if parts[0].numSparse() != 0 || len(parts[0].bitLens) == 0 {
 			t.Fatalf("dense1 not bitmap-backed; cut tuning changed")
 		}
 		if len(parts[2].bitLens) != 0 {
@@ -203,7 +203,7 @@ func TestProductCountDenseZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	r := randomRelation(rng, 100_000, 2, 3)
 	p, q := FromColumn(r, 0), FromColumn(r, 1)
-	if !p.AllDense() || !q.AllDense() || len(p.bitLens) == 0 {
+	if p.numSparse() != 0 || q.numSparse() != 0 || len(p.bitLens) == 0 {
 		t.Fatalf("operands not all-dense (p: %d dense / %d stored)", len(p.bitLens), p.NumStrippedClasses())
 	}
 	want := p.Product(q, nil).NumClasses()
