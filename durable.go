@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/evolvefd/evolvefd/internal/core"
 	"github.com/evolvefd/evolvefd/internal/discovery"
-	"github.com/evolvefd/evolvefd/internal/pli"
 	"github.com/evolvefd/evolvefd/internal/wal"
 )
 
@@ -47,13 +45,12 @@ type DurabilityOptions struct {
 // clears the sticky error: the snapshot captures the full state, making the
 // broken log tail irrelevant.
 type durability struct {
-	dir       string
-	opts      DurabilityOptions
-	log       *wal.Log
-	seq       uint64
-	replaying bool
-	closed    bool
-	err       error
+	dir    string
+	opts   DurabilityOptions
+	log    *wal.Log
+	seq    uint64
+	closed bool
+	err    error
 }
 
 // NewDurableSession opens a session over rel whose every mutation is
@@ -73,7 +70,6 @@ func NewDurableSession(rel *Relation, dir string, opts DurabilityOptions) (*Sess
 		return nil, fmt.Errorf("evolvefd: %s already holds session state; use OpenSession", dir)
 	}
 	s := NewSession(rel)
-	s.dur = &durability{dir: dir, opts: opts, seq: 1}
 	if err := wal.WriteSnapshotFS(opts.FS, dir, s.snapshotLocked(1), opts.NoFsync); err != nil {
 		return nil, err
 	}
@@ -81,7 +77,7 @@ func NewDurableSession(rel *Relation, dir string, opts DurabilityOptions) (*Sess
 	if err != nil {
 		return nil, err
 	}
-	s.dur.log = log
+	s.dur = &durability{dir: dir, opts: opts, log: log, seq: 1}
 	return s, nil
 }
 
@@ -94,11 +90,12 @@ func HasSessionState(dir string) bool {
 }
 
 // OpenSession recovers a durable session from dir: it loads the newest
-// valid snapshot, replays the write-ahead log tail through the ordinary
-// session code paths, and truncates any torn final record. The cost is
-// O(snapshot + tail), not O(history) — the relation's columns load without
-// re-interning, the counter resumes its generation clock, and the discovery
-// borders import without re-searching the lattice.
+// valid snapshot, replays the write-ahead log tail one record at a time
+// through the code path every live mutation takes, and truncates any torn
+// final record. The cost is O(snapshot + tail), not O(history) — the
+// relation's columns load without re-interning, the counter resumes its
+// generation clock, and the discovery borders import without re-searching
+// the lattice.
 func OpenSession(dir string) (*Session, error) {
 	return OpenSessionOptions(dir, DurabilityOptions{})
 }
@@ -121,7 +118,6 @@ func OpenSessionOptions(dir string, opts DurabilityOptions) (*Session, error) {
 	if n := len(logs); n > 0 && logs[n-1] > maxSeq {
 		maxSeq = logs[n-1]
 	}
-	s.dur = &durability{dir: dir, opts: opts, seq: maxSeq, replaying: true}
 	for seq := chosen; seq <= maxSeq; seq++ {
 		path := wal.LogPath(dir, seq)
 		payloads, valid, size, err := wal.ReadLogFS(opts.FS, path)
@@ -152,17 +148,17 @@ func OpenSessionOptions(dir string, opts DurabilityOptions) (*Session, error) {
 			if err != nil {
 				return nil, fmt.Errorf("evolvefd: log %d record %d: %w", seq, i, err)
 			}
-			if err := s.applyOp(op); err != nil {
+			if err := s.Apply(op); err != nil {
 				return nil, fmt.Errorf("evolvefd: replay log %d record %d: %w", seq, i, err)
 			}
 		}
 	}
-	s.dur.replaying = false
 	log, err := wal.OpenAppendFS(opts.FS, wal.LogPath(dir, maxSeq), opts.GroupCommit, opts.NoFsync)
 	if err != nil {
 		return nil, err
 	}
-	s.dur.log = log
+	// Attached only now, so the replay above logged and checkpointed nothing.
+	s.dur = &durability{dir: dir, opts: opts, log: log, seq: maxSeq}
 	if fellBack {
 		// A newer-but-corrupt snapshot is still on disk and would be probed
 		// first by the next recovery; supersede it with a fresh checkpoint.
@@ -204,40 +200,29 @@ func restoreNewestSnapshot(fsys wal.FS, dir string, snaps []uint64, minSeq uint6
 }
 
 // restoreSnapshot rebuilds a Session from a decoded snapshot: relation and
-// counter (with the generation clock resumed), defined FDs re-parsed from
-// their specs, and the discovery borders re-imported with full validation
-// against the restored instance.
+// counter (with the generation clock resumed), defined FDs applied as one
+// batch of defines, and the discovery borders re-imported with full
+// validation against the restored instance.
 func restoreSnapshot(snap *wal.Snapshot) (*Session, error) {
-	rel := snap.Rel
-	counter := pli.NewIncrementalCounter(rel)
-	counter.RestoreGeneration(snap.Generation)
-	if err := counter.ImportIndexes(snap.Indexes); err != nil {
+	s := NewSession(snap.Rel)
+	s.counter.RestoreGeneration(snap.Generation)
+	if err := s.counter.ImportIndexes(snap.Indexes); err != nil {
 		return nil, err
 	}
-	s := &Session{
-		rel:     rel,
-		counter: counter,
-		cache:   core.NewMeasureCache(counter),
-		fds:     make(map[string]core.FD, len(snap.FDs)),
-	}
 	s.compactions = snap.Compactions
-	for _, dfd := range snap.FDs {
-		if _, dup := s.fds[dfd.Label]; dup {
-			return nil, fmt.Errorf("duplicate FD label %q", dfd.Label)
-		}
-		fd, err := core.ParseFD(rel.Schema(), dfd.Label, dfd.Spec)
-		if err != nil {
-			return nil, err
-		}
-		s.fds[dfd.Label] = fd
-		s.order = append(s.order, dfd.Label)
+	defines := make([]wal.Op, len(snap.FDs))
+	for i, dfd := range snap.FDs {
+		defines[i] = wal.Op{Kind: wal.OpDefine, Label: dfd.Label, Spec: dfd.Spec}
+	}
+	if err := s.Apply(defines...); err != nil {
+		return nil, err
 	}
 	if snap.Disc != nil {
 		dopts := discovery.Options{MaxLHS: snap.Disc.MaxLHS}
 		if snap.Disc.HasConsequents {
 			dopts.Consequents = append([]int{}, snap.Disc.Consequents...)
 		}
-		disc, err := discovery.RestoreDiscoverer(counter, dopts, &snap.Disc.Borders)
+		disc, err := discovery.RestoreDiscoverer(s.counter, dopts, &snap.Disc.Borders)
 		if err != nil {
 			return nil, err
 		}
@@ -256,39 +241,6 @@ func restoreSnapshot(snap *wal.Snapshot) (*Session, error) {
 		}
 	}
 	return s, nil
-}
-
-// applyOp replays one logged mutation through the ordinary session methods,
-// so recovery exercises exactly the code the live session ran. A failure on
-// a checksum-valid record is corruption, surfaced to the caller.
-func (s *Session) applyOp(op wal.Op) error {
-	switch op.Kind {
-	case wal.OpAppend:
-		return s.Append(op.Tuple...)
-	case wal.OpAppendStrings:
-		return s.AppendStrings(op.Cells...)
-	case wal.OpDelete:
-		return s.Delete(op.Rows...)
-	case wal.OpUpdate:
-		return s.Update(op.Row, op.Tuple...)
-	case wal.OpUpdateStrings:
-		return s.UpdateStrings(op.Row, op.Cells...)
-	case wal.OpDefine:
-		return s.Define(op.Label, op.Spec)
-	case wal.OpAccept:
-		return s.Accept(op.Label, Suggestion{Added: op.Names})
-	case wal.OpDrop:
-		return s.Drop(op.Label)
-	case wal.OpCompact:
-		s.Compact()
-		return nil
-	case wal.OpCheckpoint:
-		// A size-based rotation marker: the state did not change, the log
-		// generation just rolled. Nothing to replay.
-		return nil
-	default:
-		return fmt.Errorf("evolvefd: unknown op kind %d", op.Kind)
-	}
 }
 
 // DataDir returns the session's durable data directory, or "" for an
@@ -347,22 +299,13 @@ func (s *Session) durErrLocked() error {
 	return s.dur.err
 }
 
-// mutGuardLocked rejects mutations on a closed durable session before they
-// touch any state.
-func (s *Session) mutGuardLocked() error {
-	if s.dur != nil && s.dur.closed {
-		return ErrSessionClosed
-	}
-	return nil
-}
-
-// logOp appends one mutation record to the write-ahead log, after the
-// mutation was applied successfully (only ops that cannot fail on replay
-// are logged). Logging stops at the first error — a gap mid-log would make
+// logOp appends one mutation record to the write-ahead log; apply calls it
+// right after the op took effect (only ops that cannot fail on replay are
+// logged). Logging stops at the first error — a gap mid-log would make
 // replay diverge — and the error surfaces on Flush/Close.
 func (s *Session) logOp(op wal.Op) {
 	d := s.dur
-	if d == nil || d.replaying || d.err != nil {
+	if d == nil || d.err != nil {
 		return
 	}
 	if err := d.log.Append(wal.EncodeOp(nil, op)); err != nil {
@@ -384,7 +327,7 @@ func (s *Session) logOp(op wal.Op) {
 // not advance at all unless the snapshot it would trust reads back clean.
 func (s *Session) checkpointLocked(marker byte) {
 	d := s.dur
-	if d == nil || d.replaying || d.closed {
+	if d == nil || d.closed {
 		return
 	}
 	if s.disc != nil {

@@ -168,12 +168,17 @@ type Suggestion struct {
 // tombstones out and bumps the storage epoch; the session's incremental
 // state crosses that boundary by remapping, not rebuilding.
 //
+// Every mutation is a write-ahead-log op applied by one function: the
+// mutators are batches of one, Apply runs a batch, and recovery and
+// followers replay the logged ops through the same code. A batch is
+// validated whole before it mutates, so a failing one changes nothing.
+//
 // A Session is safe for concurrent use: Check, Measures, Repair and the
 // other read paths may run in parallel with each other (repair searches fan
-// out internally), while Append, Delete, Update, Define, Drop, Accept and
-// Compact serialise against them. Callers that reach the underlying
-// *Relation through Relation() must not mutate it concurrently with session
-// queries.
+// out internally), while Append, Delete, Update, Define, Drop, Accept,
+// Compact and Apply serialise against them. Callers that reach the
+// underlying *Relation through Relation() must not mutate it concurrently
+// with session queries.
 type Session struct {
 	// mu orders relation growth and FD-set edits against the read paths;
 	// the counter and measure cache carry their own finer-grained locks.
@@ -193,8 +198,8 @@ type Session struct {
 	lastCover map[string]bool
 	lastExact map[string]bool
 	// autoCompact, when non-nil, is the tombstone-ratio policy applied after
-	// every Delete; compactions counts the storage compactions the session
-	// performed (manual and automatic).
+	// every batch that deletes; compactions counts the storage compactions
+	// the session performed (manual and automatic).
 	autoCompact *AutoCompactOptions
 	compactions uint64
 	// dur, when non-nil, is the write-ahead-log attachment of a durable
@@ -222,31 +227,13 @@ func (s *Session) Relation() *Relation { return s.rel }
 // antecedent/consequent projections the new tuple leaves unchanged are not
 // recomputed by the next Check.
 func (s *Session) Append(tuple ...Value) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.mutGuardLocked(); err != nil {
-		return err
-	}
-	if err := s.rel.Append(tuple...); err != nil {
-		return err
-	}
-	s.logOp(wal.Op{Kind: wal.OpAppend, Tuple: tuple})
-	return nil
+	return s.Apply(wal.Op{Kind: wal.OpAppend, Tuple: tuple})
 }
 
 // AppendStrings parses each text cell with the column kind and appends the
 // tuple; empty cells and "NULL" become NULL. See Append.
 func (s *Session) AppendStrings(cells ...string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.mutGuardLocked(); err != nil {
-		return err
-	}
-	if err := s.rel.AppendStrings(cells...); err != nil {
-		return err
-	}
-	s.logOp(wal.Op{Kind: wal.OpAppendStrings, Cells: cells})
-	return nil
+	return s.Apply(wal.Op{Kind: wal.OpAppendStrings, Cells: cells})
 }
 
 // Delete removes the tuples with the given row ids from the instance. Rows
@@ -254,29 +241,13 @@ func (s *Session) AppendStrings(cells ...string) error {
 // shift, and the maintained partitions shrink in time proportional to the
 // batch — a cluster's count only changes when its last member leaves, so FDs
 // whose projections the deletes leave untouched are not recomputed by the
-// next Check. Deleting an unknown or already-deleted row fails without
-// applying any of the batch. Accumulated tombstones are reclaimed by Compact
-// — explicitly, or automatically under an EnableAutoCompact policy (in which
-// case this call may shift row ids; consult Epoch).
+// next Check. Like every mutation, the call is one all-or-nothing batch: an
+// unknown, repeated or already-deleted row fails it and deletes nothing.
+// Accumulated tombstones are reclaimed by Compact — explicitly, or
+// automatically under an EnableAutoCompact policy (in which case this call
+// may shift row ids; consult Epoch).
 func (s *Session) Delete(rows ...int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.mutGuardLocked(); err != nil {
-		return err
-	}
-	if err := s.counter.Delete(rows...); err != nil {
-		return err
-	}
-	// Logged before the auto-compaction check, so a triggered compaction's
-	// own record follows the delete that caused it.
-	s.logOp(wal.Op{Kind: wal.OpDelete, Rows: rows})
-	if p := s.autoCompact; p != nil {
-		st := s.rel.MemStats()
-		if st.Tombstones >= p.minTombstones() && st.TombstoneRatio >= p.ratio() {
-			s.compactLocked()
-		}
-	}
-	return nil
+	return s.Apply(wal.Op{Kind: wal.OpDelete, Rows: rows})
 }
 
 // Update replaces the tuple at one live row id in place — the designer
@@ -284,31 +255,13 @@ func (s *Session) Delete(rows ...int) error {
 // re-routed between partition clusters incrementally; measures are only
 // recomputed for FDs whose projection counts actually changed.
 func (s *Session) Update(row int, tuple ...Value) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.mutGuardLocked(); err != nil {
-		return err
-	}
-	if err := s.counter.Update(row, tuple...); err != nil {
-		return err
-	}
-	s.logOp(wal.Op{Kind: wal.OpUpdate, Row: row, Tuple: tuple})
-	return nil
+	return s.Apply(wal.Op{Kind: wal.OpUpdate, Row: row, Tuple: tuple})
 }
 
 // UpdateStrings parses each text cell with the column kind and updates the
 // row in place; empty cells and "NULL" become NULL. See Update.
 func (s *Session) UpdateStrings(row int, cells ...string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.mutGuardLocked(); err != nil {
-		return err
-	}
-	if err := s.counter.UpdateStrings(row, cells...); err != nil {
-		return err
-	}
-	s.logOp(wal.Op{Kind: wal.OpUpdateStrings, Row: row, Cells: cells})
-	return nil
+	return s.Apply(wal.Op{Kind: wal.OpUpdateStrings, Row: row, Cells: cells})
 }
 
 // LiveRows returns the number of live (non-deleted) tuples in the instance.
@@ -377,12 +330,8 @@ type CompactionStats struct {
 // Compact serialises against all readers like any other write; a no-op on a
 // tombstone-free instance.
 func (s *Session) Compact() CompactionStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.mutGuardLocked(); err != nil {
-		return CompactionStats{OldRows: s.rel.NumRows(), NewRows: s.rel.NumRows(), Epoch: s.rel.Epoch()}
-	}
-	return s.compactLocked()
+	st, _ := s.apply([]wal.Op{{Kind: wal.OpCompact}})
+	return st
 }
 
 // compactLocked runs one compaction under the held write lock: the
@@ -454,10 +403,10 @@ func (o *AutoCompactOptions) minTombstones() int {
 }
 
 // EnableAutoCompact turns on automatic storage reclamation: after every
-// Delete whose tombstones reach the policy's thresholds the session compacts
-// inline, under the same write lock, so readers never observe a half-moved
-// instance. Callers that cache row ids across calls should prefer explicit
-// Compact at points of their choosing instead.
+// batch that deletes and leaves tombstones at the policy's thresholds the
+// session compacts inline, under the same write lock, so readers never
+// observe a half-moved instance. Callers that cache row ids across calls
+// should prefer explicit Compact at points of their choosing instead.
 func (s *Session) EnableAutoCompact(opts AutoCompactOptions) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -527,22 +476,7 @@ func (s *Session) MemStats() MemStats {
 
 // Define declares an FD like "A, B -> C" under a unique label.
 func (s *Session) Define(label, spec string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.mutGuardLocked(); err != nil {
-		return err
-	}
-	if _, dup := s.fds[label]; dup {
-		return fmt.Errorf("%w: %q", ErrDuplicateFD, label)
-	}
-	fd, err := core.ParseFD(s.rel.Schema(), label, spec)
-	if err != nil {
-		return err
-	}
-	s.fds[label] = fd
-	s.order = append(s.order, label)
-	s.logOp(wal.Op{Kind: wal.OpDefine, Label: label, Spec: spec})
-	return nil
+	return s.Apply(wal.Op{Kind: wal.OpDefine, Label: label, Spec: spec})
 }
 
 // MustDefine is Define that panics on error, for statically-known FDs.
@@ -557,25 +491,7 @@ func (s *Session) MustDefine(label, spec string) {
 // accumulating every FD ever seen. Dropping an unknown label is a no-op;
 // the only error is mutating a closed durable session.
 func (s *Session) Drop(label string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.mutGuardLocked(); err != nil {
-		return err
-	}
-	fd, ok := s.fds[label]
-	if !ok {
-		return nil
-	}
-	s.cache.Evict(fd)
-	delete(s.fds, label)
-	for i, l := range s.order {
-		if l == label {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	s.logOp(wal.Op{Kind: wal.OpDrop, Label: label})
-	return nil
+	return s.Apply(wal.Op{Kind: wal.OpDrop, Label: label})
 }
 
 // Labels returns the defined FD labels in definition order.
@@ -659,29 +575,10 @@ func (s *Session) Repair(label string, opts Options) ([]Suggestion, error) {
 }
 
 // Accept replaces the labelled FD with its repaired form, adding the
-// suggested attributes to the antecedent — the designer saying yes.
+// suggested attributes to the antecedent — the designer saying yes. Adding
+// a consequent attribute would make the FD trivial and fails with ErrBadFD.
 func (s *Session) Accept(label string, suggestion Suggestion) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.mutGuardLocked(); err != nil {
-		return err
-	}
-	fd, ok := s.fds[label]
-	if !ok {
-		return fmt.Errorf("%w %q", ErrUnknownFD, label)
-	}
-	added, err := s.rel.Schema().IndexSet(suggestion.Added...)
-	if err != nil {
-		return err
-	}
-	ext := fd.WithExtendedAntecedent(added)
-	ext.Label = label
-	// The accepted FD replaces the old one; its cached measures are dead
-	// weight from here on.
-	s.cache.Evict(fd)
-	s.fds[label] = ext
-	s.logOp(wal.Op{Kind: wal.OpAccept, Label: label, Names: suggestion.Added})
-	return nil
+	return s.Apply(wal.Op{Kind: wal.OpAccept, Label: label, Names: suggestion.Added})
 }
 
 // DiscoveryOptions bounds an FD discovery pass over the session's instance.

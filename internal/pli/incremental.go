@@ -606,9 +606,8 @@ func (c *IncrementalCounter) Update(row int, tuple ...relation.Value) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sync()
-	if row < 0 || row >= c.r.NumRows() || c.r.IsDeleted(row) {
-		// Reuse the relation's error wording without touching tracked state.
-		return c.r.Update(row, tuple...)
+	if err := c.r.CheckRow("update", row, c.r.NumRows(), c.r.IsDeleted); err != nil {
+		return err
 	}
 	// Snapshot the row's codes before the cells change: they name the old
 	// clusters, and diffing them against the updated codes tells which

@@ -123,9 +123,10 @@ func (r *Relation) Mutated() bool { return r.mutations > 0 }
 // NumCols returns |R|, the number of attributes.
 func (r *Relation) NumCols() int { return r.schema.Len() }
 
-// validateTuple checks a tuple against the schema, widening int values in
-// float columns in place — the shared typed front end of Append and Update.
-func (r *Relation) validateTuple(tuple []Value) error {
+// ValidateTuple checks a tuple against the schema, widening int values in
+// float columns in place — the shared typed front end of Append and Update,
+// and of a session batch's validation pass.
+func (r *Relation) ValidateTuple(tuple []Value) error {
 	if len(tuple) != r.schema.Len() {
 		return fmt.Errorf("relation %s: tuple arity %d != schema arity %d: %w",
 			r.name, len(tuple), r.schema.Len(), ErrArity)
@@ -152,7 +153,7 @@ func (r *Relation) validateTuple(tuple []Value) error {
 // non-NULL values must match the column kind. Integer values are accepted in
 // float columns and widened.
 func (r *Relation) Append(tuple ...Value) error {
-	if err := r.validateTuple(tuple); err != nil {
+	if err := r.ValidateTuple(tuple); err != nil {
 		return err
 	}
 	for i, v := range tuple {
@@ -183,13 +184,9 @@ func (r *Relation) Delete(rows ...int) error {
 		r.dead = make([]bool, r.rows)
 	}
 	for i, row := range rows {
-		if row < 0 || row >= r.rows {
+		if err := r.CheckRow("delete", row, r.rows, r.IsDeleted); err != nil {
 			r.undelete(rows[:i])
-			return fmt.Errorf("relation %s: delete of row %d out of range [0,%d): %w", r.name, row, r.rows, ErrUnknownRow)
-		}
-		if r.dead[row] {
-			r.undelete(rows[:i])
-			return fmt.Errorf("relation %s: row %d already deleted: %w", r.name, row, ErrUnknownRow)
+			return err
 		}
 		r.dead[row] = true
 	}
@@ -209,6 +206,20 @@ func (r *Relation) Delete(rows ...int) error {
 	return nil
 }
 
+// CheckRow refuses a row id that lies outside [0, extent) or that dead
+// reports deleted, worded for verb ("delete" or "update"). Delete and Update
+// check against the relation itself; a session batch checks against the
+// extent and tombstones its earlier ops would leave.
+func (r *Relation) CheckRow(verb string, row, extent int, dead func(int) bool) error {
+	if row < 0 || row >= extent {
+		return fmt.Errorf("relation %s: %s of row %d out of range [0,%d): %w", r.name, verb, row, extent, ErrUnknownRow)
+	}
+	if dead(row) {
+		return fmt.Errorf("relation %s: %s of deleted row %d: %w", r.name, verb, row, ErrUnknownRow)
+	}
+	return nil
+}
+
 // undelete rolls back tombstones set by a partially-validated Delete batch.
 func (r *Relation) undelete(rows []int) {
 	for _, row := range rows {
@@ -221,13 +232,10 @@ func (r *Relation) undelete(rows []int) {
 // needed, so DictLen may overcount live distinct values afterwards (see
 // Mutated). Updating a deleted or out-of-range row is an error.
 func (r *Relation) Update(row int, tuple ...Value) error {
-	if row < 0 || row >= r.rows {
-		return fmt.Errorf("relation %s: update of row %d out of range [0,%d): %w", r.name, row, r.rows, ErrUnknownRow)
+	if err := r.CheckRow("update", row, r.rows, r.IsDeleted); err != nil {
+		return err
 	}
-	if r.IsDeleted(row) {
-		return fmt.Errorf("relation %s: update of deleted row %d: %w", r.name, row, ErrUnknownRow)
-	}
-	if err := r.validateTuple(tuple); err != nil {
+	if err := r.ValidateTuple(tuple); err != nil {
 		return err
 	}
 	for i, v := range tuple {

@@ -42,9 +42,8 @@ type CreateResponse struct {
 }
 
 // AppendRequest ingests a batch of tuples, one cell list per row, parsed
-// with the column kinds ("" and "NULL" become NULL). The batch is applied
-// in order and is not atomic: a rejected row fails the request but keeps
-// the rows before it.
+// with the column kinds ("" and "NULL" become NULL). The batch is
+// all-or-nothing: a rejected row fails the request and appends no row.
 type AppendRequest struct {
 	Rows [][]string `json:"rows"`
 }
@@ -74,8 +73,8 @@ type RowUpdate struct {
 	Cells []string `json:"cells"`
 }
 
-// UpdateRequest applies a batch of in-place row corrections, in order,
-// non-atomically (like AppendRequest).
+// UpdateRequest applies a batch of in-place row corrections, in order and
+// all-or-nothing (like AppendRequest).
 type UpdateRequest struct {
 	Updates []RowUpdate `json:"updates"`
 }

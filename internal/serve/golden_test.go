@@ -69,6 +69,7 @@ func TestGoldenResponses(t *testing.T) {
 		{"err-bad-value", "POST", "/v1/g1/append", jsonBody(t, AppendRequest{Rows: [][]string{{"x", "not-an-int", "p", "u"}}})},
 		{"err-unknown-row", "POST", "/v1/g1/delete", jsonBody(t, DeleteRequest{Rows: []int{999}})},
 		{"err-unknown-attribute", "POST", "/v1/g1/accept", jsonBody(t, AcceptRequest{FD: "F1", Added: []string{"Zap"}})},
+		{"err-accept-consequent", "POST", "/v1/g1/accept", jsonBody(t, AcceptRequest{FD: "F1", Added: []string{"C"}})},
 		{"err-bad-json", "POST", "/v1/g1/append", `{"rows": [`},
 		{"err-unknown-field", "POST", "/v1/g1/append", `{"tuples": [["x","1","p","u"]]}`},
 		{"err-trailing-json", "POST", "/v1/g1/append", `{"rows":[["x","1","p","u"]]} {"rows":[["BAD"]]} garbage`},

@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	evolvefd "github.com/evolvefd/evolvefd"
+	"github.com/evolvefd/evolvefd/internal/wal"
 )
 
 // Server mounts the /v1 advisor API over a Registry. It is an http.Handler;
@@ -143,9 +144,9 @@ func decode(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
 }
 
 // post is the one shape of every tenant POST route: resolve the tenant,
-// decode the body, call, publish, answer. A mutating route publishes once
-// its call returns, error or not — a batch that failed midway has applied
-// and logged a prefix, and the feed must not skip that change.
+// decode the body, call, publish, answer. A mutating route publishes on
+// success only: each request is one all-or-nothing batch, so a failed call
+// changed nothing the feed could report.
 func post[Req, Resp any](s *Server, mutates bool, call func(*evolvefd.Session, Req) (Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t, ok := s.tenant(w, r)
@@ -158,12 +159,12 @@ func post[Req, Resp any](s *Server, mutates bool, call func(*evolvefd.Session, R
 			return
 		}
 		resp, err := call(t.s, req)
-		if mutates {
-			t.publish()
-		}
 		if err != nil {
 			s.writeError(w, err)
 			return
+		}
+		if mutates {
+			t.publish()
 		}
 		writeJSON(w, http.StatusOK, resp)
 	}
@@ -239,11 +240,24 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, OKResponse{OK: true})
 }
 
+// applyBatch applies one request's ops as a single all-or-nothing batch,
+// naming a refused op by its position in the request ("row 2: …").
+func applyBatch(s *evolvefd.Session, noun string, ops []wal.Op) error {
+	err := s.Apply(ops...)
+	var refused *wal.OpError
+	if errors.As(err, &refused) {
+		return fmt.Errorf("%s %d: %w", noun, refused.Index, refused.Err)
+	}
+	return err
+}
+
 func appendRows(s *evolvefd.Session, req AppendRequest) (AppendResponse, error) {
+	ops := make([]wal.Op, len(req.Rows))
 	for i, cells := range req.Rows {
-		if err := s.AppendStrings(cells...); err != nil {
-			return AppendResponse{}, fmt.Errorf("row %d: %w", i, err)
-		}
+		ops[i] = wal.Op{Kind: wal.OpAppendStrings, Cells: cells}
+	}
+	if err := applyBatch(s, "row", ops); err != nil {
+		return AppendResponse{}, err
 	}
 	return AppendResponse{Appended: len(req.Rows), LiveRows: s.LiveRows()}, nil
 }
@@ -256,10 +270,12 @@ func deleteRows(s *evolvefd.Session, req DeleteRequest) (DeleteResponse, error) 
 }
 
 func updateRows(s *evolvefd.Session, req UpdateRequest) (UpdateResponse, error) {
+	ops := make([]wal.Op, len(req.Updates))
 	for i, u := range req.Updates {
-		if err := s.UpdateStrings(u.Row, u.Cells...); err != nil {
-			return UpdateResponse{}, fmt.Errorf("update %d: %w", i, err)
-		}
+		ops[i] = wal.Op{Kind: wal.OpUpdateStrings, Row: u.Row, Cells: u.Cells}
+	}
+	if err := applyBatch(s, "update", ops); err != nil {
+		return UpdateResponse{}, err
 	}
 	return UpdateResponse{Updated: len(req.Updates)}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	evolvefd "github.com/evolvefd/evolvefd"
+	"github.com/evolvefd/evolvefd/internal/wal"
 )
 
 // sseEvent is one parsed Server-Sent-Events block.
@@ -59,9 +60,8 @@ func nextEvent(t *testing.T, events <-chan sseEvent) sseEvent {
 // sequence whose expected events a library twin computes: every batch that
 // produces a non-empty Suggestions diff must arrive as SSE "suggestion"
 // events, in checkpoint order, with the checkpoints strictly increasing. A
-// batch that fails midway has still applied (and logged) its prefix: the
-// events that prefix produced must arrive under the next checkpoint, not wait
-// for some later successful mutation.
+// batch is all-or-nothing: one that fails changes nothing and publishes no
+// event, and the same rows in a later successful batch produce the events.
 func TestFeedSSE(t *testing.T) {
 	ts, _ := newTestServer(t, RegistryOptions{})
 	client := ts.Client()
@@ -122,9 +122,8 @@ func TestFeedSSE(t *testing.T) {
 		t.Fatalf("hello = %+v, want tenant feedy generation %d", helloBody, twin.Generation())
 	}
 
-	// Mutation batches; the twin computes the expected per-batch diff. A
-	// batch with a non-200 status fails at its last entry, after the entries
-	// before it were applied.
+	// Mutation batches; the twin applies each as one batch too and computes
+	// the expected per-batch diff.
 	batches := []struct {
 		rows    [][]string
 		updates []RowUpdate
@@ -134,11 +133,13 @@ func TestFeedSSE(t *testing.T) {
 		{rows: [][]string{{"z", "4", "s", "w"}}, status: http.StatusOK}, // new A value, F1 stays broken (no new diff for it)
 		{rows: [][]string{{"y", "2", "q", "v"}}, status: http.StatusOK}, // duplicate row
 		{rows: [][]string{{"x", "5", "p", "u"}}, status: http.StatusOK}, // another x→p witness
-		// Row 0 breaks F2 (C=s now maps to both w and t), row 1 has the wrong arity.
+		// Row 0 would break F2, but row 1 has the wrong arity: no row lands.
 		{rows: [][]string{{"z", "6", "s", "t"}, {"short"}}, status: http.StatusBadRequest},
-		// Update 0 breaks F3 (B=2 now maps to both v and zz), update 1 names no row.
+		// Update 0 would break F3, but update 1 names no row: nothing changes.
 		{updates: []RowUpdate{{Row: 4, Cells: []string{"y", "2", "q", "zz"}}, {Row: 999, Cells: []string{"y", "2", "q", "v"}}},
 			status: http.StatusNotFound},
+		{rows: [][]string{{"z", "6", "s", "t"}}, status: http.StatusOK},                               // breaks F2: C=s now maps to both w and t
+		{updates: []RowUpdate{{Row: 4, Cells: []string{"y", "2", "q", "zz"}}}, status: http.StatusOK}, // breaks F3: B=2 now maps to both v and zz
 	}
 	type expected struct {
 		checkpoint uint64
@@ -152,17 +153,14 @@ func TestFeedSSE(t *testing.T) {
 		} else {
 			mustReq(t, client, "POST", base+"/append", jsonBody(t, AppendRequest{Rows: batch.rows}), batch.status)
 		}
-		var twinErr error
+		var ops []wal.Op
 		for _, cells := range batch.rows {
-			if twinErr = twin.AppendStrings(cells...); twinErr != nil {
-				break
-			}
+			ops = append(ops, wal.Op{Kind: wal.OpAppendStrings, Cells: cells})
 		}
 		for _, u := range batch.updates {
-			if twinErr = twin.UpdateStrings(u.Row, u.Cells...); twinErr != nil {
-				break
-			}
+			ops = append(ops, wal.Op{Kind: wal.OpUpdateStrings, Row: u.Row, Cells: u.Cells})
 		}
+		twinErr := twin.Apply(ops...)
 		if (twinErr == nil) != (batch.status == http.StatusOK) {
 			t.Fatalf("batch %d: twin error %v, server status %d", bi, twinErr, batch.status)
 		}

@@ -133,6 +133,17 @@ type Op struct {
 	Names []string
 }
 
+// OpError is a refused batch of ops: the op at Index failed with Err. Its
+// text is Err's, so a one-op batch reads like the failure itself.
+type OpError struct {
+	Index int
+	Err   error
+}
+
+func (e *OpError) Error() string { return e.Err.Error() }
+
+func (e *OpError) Unwrap() error { return e.Err }
+
 // EncodeOp appends the payload encoding of op to buf. The result is what
 // one WAL record carries.
 func EncodeOp(buf []byte, op Op) []byte {

@@ -174,7 +174,7 @@ func (f *Follower) catchUpLocked() (int, error) {
 		}
 		ops, err := f.tail.Poll(max)
 		for _, op := range ops {
-			if aerr := f.s.applyOp(op); aerr != nil {
+			if aerr := f.s.Apply(op); aerr != nil {
 				// A checksum-valid record the session cannot apply is stream
 				// corruption wearing a different coat. The tailer has already
 				// moved past the record, so a re-read would silently skip it —
