@@ -403,9 +403,9 @@ func (c *HashCounter) Count(x bitset.Set) int {
 }
 
 // appendCodeKey appends the little-endian encoding of one row's code tuple
-// over the projected columns — the canonical map key shared by the hash
-// counter and the incremental counter's cluster maps, which must agree
-// byte-for-byte on what identifies a cluster.
+// over the projected columns — the hash counter's map key. Only HashCounter
+// uses it: it stays string-keyed on purpose, as the independent reference
+// the incremental counter's cluster tables are checked against.
 func appendCodeKey(k []byte, columns [][]int32, row int) []byte {
 	for _, codes := range columns {
 		v := codes[row]

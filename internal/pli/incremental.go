@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -13,14 +14,15 @@ import (
 
 // defaultMaxTracked bounds the number of attribute sets an IncrementalCounter
 // maintains incrementally. Each tracked set costs O(numRows) memory (its
-// hash-to-cluster map), so the bound keeps memory proportional to the FDs a
-// session actually monitors, not to the sets a repair search sweeps through.
+// chain arrays and cluster table), so the bound keeps memory proportional to
+// the FDs a session actually monitors, not to the sets a repair search sweeps
+// through.
 const defaultMaxTracked = 256
 
-// trackedIndex is the live clustering of one attribute set: a map from the
-// encoded code-tuple of the set's columns to a cluster id, plus the member
+// trackedIndex is the live clustering of one attribute set: a clusterTable
+// from the code tuple of the set's columns to a cluster id, plus the member
 // rows of each cluster (singleton clusters included, unlike the stripped
-// Partition). Keeping the map alive between mutations is what makes folding
+// Partition). Keeping the table alive between mutations is what makes folding
 // a batch O(batch) instead of O(numRows): each appended row hashes straight
 // to its cluster, each deleted row is unlinked from the cluster its codes
 // name, and an updated row moves between the two clusters its old and new
@@ -42,7 +44,7 @@ const defaultMaxTracked = 256
 type trackedIndex struct {
 	attrs bitset.Set
 	cols  []int
-	ids   map[string]int32 // encoded code tuple → cluster id
+	ids   clusterTable // code tuple → cluster id
 	// head is the first member row of each cluster (−1 when emptied); size is
 	// its member count.
 	head []int32
@@ -54,10 +56,10 @@ type trackedIndex struct {
 	// live is the number of non-empty clusters, i.e. |π_X| over live rows.
 	// It can shrink: deletes empty clusters, updates move rows between them.
 	live int
-	// dead counts the emptied clusters still occupying ids/rows slots (kept
-	// for in-place revival); past a threshold the index is compacted so
-	// sustained churn through high-cardinality values cannot grow it without
-	// bound.
+	// dead counts the emptied clusters still holding ids and head/size
+	// slots (kept for in-place revival); past a threshold the index is
+	// compacted so sustained churn through high-cardinality values cannot
+	// grow it without bound.
 	dead int
 	// lastChanged is the counter generation at which live last changed — in
 	// either direction. Appends that only enlarge clusters, deletes that only
@@ -72,7 +74,7 @@ type trackedIndex struct {
 
 // IncrementalCounter is a Counter for an evolving relation: it answers
 // |π_X(r)| like PLICounter but folds appended, deleted and updated tuples
-// into kept-alive cluster maps instead of recomputing partitions from
+// into kept-alive cluster tables instead of recomputing partitions from
 // scratch. It is the engine behind Session.Append/Delete/Update — the
 // paper's periodic-validation loop re-checks its FDs every time the data
 // changes, and with this counter the re-check costs O(batch × tracked sets),
@@ -122,8 +124,7 @@ type IncrementalCounter struct {
 	// only possible change is that 0↔1 flip.
 	emptyGen uint64
 	wasEmpty bool
-	keyBuf   []byte
-	colBuf   [][]int32
+	keyBuf   []int32
 	oldCodes []int32
 }
 
@@ -217,11 +218,7 @@ func (c *IncrementalCounter) TrackBatch(xs []bitset.Set) {
 			c.lru.MoveToBack(idx.elem)
 			continue
 		}
-		fresh = append(fresh, &trackedIndex{
-			attrs: x.Clone(),
-			cols:  x.Members(),
-			ids:   make(map[string]int32),
-		})
+		fresh = append(fresh, newTrackedIndex(x))
 	}
 	if len(fresh) == 0 {
 		return
@@ -237,7 +234,7 @@ func (c *IncrementalCounter) TrackBatch(xs []bitset.Set) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf []byte
+			var buf []int32
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(fresh) {
@@ -266,7 +263,7 @@ func (c *IncrementalCounter) TrackBatch(xs []bitset.Set) {
 // Members holds every cluster's member rows back to back, and cluster j
 // spans Members[Offsets[j]:Offsets[j+1]] (Offsets carries one trailing
 // entry, so it has NumClusters+1 elements; with no clusters it is either
-// empty or the single entry 0). The cluster-key map, the chain links and
+// empty or the single entry 0). The cluster table, the chain links and
 // the live count are all derivable from the members plus the relation's
 // column codes, so a dump carries only what cannot be reconstructed in
 // O(clusters + rows). Snapshot format v3 writes this layout to disk
@@ -334,10 +331,10 @@ func (c *IncrementalCounter) ExportIndexes() []IndexDump {
 }
 
 // ImportIndexes re-registers exported indexes against the relation the
-// counter wraps, reconstructing each cluster map with one key probe per
-// cluster instead of one per row — the difference between a recovery that
-// decodes its partition state and one that refolds the whole instance per
-// set. The dumps must describe the current relation: member rows are bounds-
+// counter wraps, reconstructing each cluster table with one insertion per
+// cluster instead of one probe per row — the difference between a recovery
+// that decodes its partition state and one that refolds the whole instance
+// per set. The dumps must describe the current relation: member rows are bounds-
 // and liveness-checked and every index must cover the live rows exactly,
 // so a dump from any other instance fails cleanly. Already-tracked sets are
 // skipped; the tracked-set bound rises to hold the full import, matching
@@ -382,7 +379,7 @@ func (c *IncrementalCounter) ImportIndexes(dumps []IndexDump) error {
 		idx := &trackedIndex{
 			attrs: x,
 			cols:  cols,
-			ids:   make(map[string]int32, nclusters),
+			ids:   newClusterTable(len(cols), nclusters),
 			head:  make([]int32, 0, nclusters),
 			size:  make([]int32, 0, nclusters),
 		}
@@ -393,15 +390,6 @@ func (c *IncrementalCounter) ImportIndexes(dumps []IndexDump) error {
 		// does not match the instance.
 		noDead := c.r.LiveRows() == nrows
 		idx.next, idx.prev = growChain(idx.next, idx.prev, nrows)
-		codes := make([][]int32, len(cols))
-		for i, col := range cols {
-			codes[i] = c.r.ColumnCodes(col)
-		}
-		// Code keys are fixed-width, so every cluster's key packs into one
-		// shared string sliced per cluster below — one allocation for the
-		// whole map's keys instead of one per cluster.
-		keyLen := 4 * len(cols)
-		arena := make([]byte, 0, keyLen*nclusters)
 		// seen guards against a row appearing in two clusters, which would
 		// cross-link the chains being wired below (the coverage total alone
 		// cannot catch a duplicate paired with an omission).
@@ -436,7 +424,9 @@ func (c *IncrementalCounter) ImportIndexes(dumps []IndexDump) error {
 				}
 			}
 			members += len(cls)
-			arena = appendCodeKey(arena, codes, int(cls[0]))
+			if _, fresh := idx.ids.add(c.rowTuple(idx, int(cls[0]))); !fresh {
+				return fmt.Errorf("pli: import index %v has two clusters with one key", d.Attrs)
+			}
 			idx.head = append(idx.head, cls[0])
 			idx.size = append(idx.size, int32(len(cls)))
 			idx.live++
@@ -444,14 +434,6 @@ func (c *IncrementalCounter) ImportIndexes(dumps []IndexDump) error {
 		if members != c.r.LiveRows() {
 			return fmt.Errorf("pli: import index %v covers %d rows, relation has %d live",
 				d.Attrs, members, c.r.LiveRows())
-		}
-		keys := string(arena)
-		for j := 0; j < nclusters; j++ {
-			k := keys[j*keyLen : (j+1)*keyLen]
-			if _, dup := idx.ids[k]; dup {
-				return fmt.Errorf("pli: import index %v has two clusters with one key", d.Attrs)
-			}
-			idx.ids[k] = int32(j)
 		}
 		idx.lastChanged = c.gen
 		c.tracked[key] = idx
@@ -536,7 +518,7 @@ func (c *IncrementalCounter) CountWithGen(x bitset.Set) (int, uint64) {
 }
 
 // Partition materialises the stripped partition of x over the live rows.
-// Tracked sets build it from the live cluster map; untracked sets go through
+// Tracked sets build it from the live clusters; untracked sets go through
 // the embedded PLICounter, so repair searches probing the same set repeatedly
 // hit its sharded cache instead of refolding columns.
 func (c *IncrementalCounter) Partition(x bitset.Set) *Partition {
@@ -545,7 +527,7 @@ func (c *IncrementalCounter) Partition(x bitset.Set) *Partition {
 
 // PartitionPar is Partition with an untracked set's uncached products
 // sharded across `workers` goroutines. Tracked sets materialise in one pass
-// from the live cluster map either way.
+// from the live clusters either way.
 func (c *IncrementalCounter) PartitionPar(x bitset.Set, workers int) *Partition {
 	c.mu.Lock()
 	c.sync()
@@ -624,30 +606,28 @@ func (c *IncrementalCounter) Update(row int, tuple ...relation.Value) error {
 		return err
 	}
 	c.gen++
-	var changed bitset.Set
-	for col := 0; col < ncols; col++ {
-		if c.r.ColumnCodes(col)[row] != oldCodes[col] {
-			changed.Add(col)
+	for _, idx := range c.tracked {
+		// A set whose codes the update left alone keeps the row in the same
+		// cluster; only a set whose tuple changed re-routes it.
+		w := len(idx.cols)
+		if cap(c.keyBuf) < 2*w {
+			c.keyBuf = make([]int32, 2*w)
 		}
-	}
-	if !changed.IsEmpty() {
-		for _, idx := range c.tracked {
-			// Sets disjoint from the changed columns keep the row in the same
-			// cluster; only intersecting sets re-route (their keys necessarily
-			// differ: the key encodes the changed code).
-			if !idx.attrs.Intersects(changed) {
-				continue
-			}
-			oldKey := string(c.oldRowKey(idx, oldCodes))
-			newKey := string(c.rowKey(idx, row))
-			before := idx.live
-			c.unlink(idx, oldKey, int32(row))
-			c.link(idx, newKey, int32(row))
-			if idx.live != before {
-				idx.lastChanged = c.gen
-			}
-			maybeCompact(idx)
+		old, cur := c.keyBuf[:w], c.keyBuf[w:2*w]
+		for i, col := range idx.cols {
+			old[i] = oldCodes[col]
+			cur[i] = c.r.ColumnCodes(col)[row]
 		}
+		if slices.Equal(old, cur) {
+			continue
+		}
+		before := idx.live
+		unlink(idx, old, int32(row))
+		link(idx, cur, int32(row))
+		if idx.live != before {
+			idx.lastChanged = c.gen
+		}
+		maybeCompact(idx)
 	}
 	c.appliedMuts = c.r.Mutations()
 	c.noteLiveness()
@@ -698,7 +678,7 @@ func (c *IncrementalCounter) Compact() *relation.Remap {
 // remapIndex rewrites the row ids of one tracked index through the remap
 // table: cluster heads are translated in place, and every chain slot at or
 // above the identity prefix moves to the row's new id with its link values
-// translated. Cluster identity, the key map, live/dead counts and every
+// translated. Cluster identity, the cluster table, live/dead counts and every
 // generation stamp are untouched — compaction changes no count. Pure array
 // reads and writes, no hashing: O(moved rows + clusters), and the chain
 // arrays shrink to the new extent. The in-place slot moves are safe because
@@ -818,11 +798,7 @@ func (c *IncrementalCounter) track(x bitset.Set) *trackedIndex {
 		c.lru.MoveToBack(idx.elem)
 		return idx
 	}
-	idx := &trackedIndex{
-		attrs: x.Clone(),
-		cols:  x.Members(),
-		ids:   make(map[string]int32),
-	}
+	idx := newTrackedIndex(x)
 	c.fold(idx, 0, c.r.NumRows())
 	idx.lastChanged = c.gen
 	c.tracked[key] = idx
@@ -839,7 +815,7 @@ func (c *IncrementalCounter) track(x bitset.Set) *trackedIndex {
 // for mutations that bypassed the counter. Callers must hold c.mu and have
 // bumped the generation.
 func (c *IncrementalCounter) rebuild(idx *trackedIndex) {
-	idx.ids = make(map[string]int32)
+	idx.ids = newClusterTable(len(idx.cols), 0)
 	idx.head = idx.head[:0]
 	idx.size = idx.size[:0]
 	idx.next = idx.next[:0]
@@ -850,6 +826,12 @@ func (c *IncrementalCounter) rebuild(idx *trackedIndex) {
 	idx.lastChanged = c.gen
 }
 
+// newTrackedIndex returns an empty index over the columns of x.
+func newTrackedIndex(x bitset.Set) *trackedIndex {
+	cols := x.Members()
+	return &trackedIndex{attrs: x.Clone(), cols: cols, ids: newClusterTable(len(cols), 0)}
+}
+
 // fold routes live rows [from, to) of the relation into idx's clusters,
 // stamping lastChanged if the cluster count changed (a fresh cluster
 // appeared, or an emptied one came back to life).
@@ -857,51 +839,31 @@ func (c *IncrementalCounter) fold(idx *trackedIndex, from, to int) {
 	c.foldBuf(idx, from, to, &c.keyBuf)
 }
 
-// foldBuf is fold with an explicit key buffer, so concurrent index builds
+// foldBuf is fold with an explicit tuple buffer, so concurrent index builds
 // (TrackBatch) can fold without sharing c.keyBuf. Apart from the buffer it
 // only reads shared state (the relation's columns and c.gen), which is what
 // makes parallel builds over disjoint indexes safe.
-func (c *IncrementalCounter) foldBuf(idx *trackedIndex, from, to int, keyBuf *[]byte) {
+func (c *IncrementalCounter) foldBuf(idx *trackedIndex, from, to int, keyBuf *[]int32) {
 	cols := make([][]int32, len(idx.cols))
 	for i, col := range idx.cols {
 		cols[i] = c.r.ColumnCodes(col)
 	}
-	if need := len(idx.cols) * 4; cap(*keyBuf) < need {
-		*keyBuf = make([]byte, 0, need)
+	if cap(*keyBuf) < len(cols) {
+		*keyBuf = make([]int32, len(cols))
 	}
-	buf := *keyBuf
+	tuple := (*keyBuf)[:len(cols)]
 	idx.next, idx.prev = growChain(idx.next, idx.prev, to)
-	changed := false
+	before := idx.live
 	for row := from; row < to; row++ {
 		if c.r.IsDeleted(row) {
 			continue
 		}
-		k := appendCodeKey(buf[:0], cols, row)
-		id, ok := idx.ids[string(k)]
-		if !ok {
-			id = int32(len(idx.head))
-			idx.ids[string(k)] = id
-			idx.head = append(idx.head, -1)
-			idx.size = append(idx.size, 0)
-			idx.live++
-			changed = true
-		} else if idx.size[id] == 0 {
-			idx.live++
-			idx.dead--
-			changed = true
+		for i, codes := range cols {
+			tuple[i] = codes[row]
 		}
-		r := int32(row)
-		h := idx.head[id]
-		idx.next[r] = h
-		idx.prev[r] = -1
-		if h >= 0 {
-			idx.prev[h] = r
-		}
-		idx.head[id] = r
-		idx.size[id]++
+		link(idx, tuple, int32(row))
 	}
-	*keyBuf = buf[:0]
-	if changed {
+	if idx.live != before {
 		idx.lastChanged = c.gen
 	}
 }
@@ -911,49 +873,27 @@ func (c *IncrementalCounter) foldBuf(idx *trackedIndex, from, to int, keyBuf *[]
 // shrinking a cluster from k ≥ 2 rows to k−1 leaves the count alone).
 // Callers must hold c.mu and have bumped the generation.
 func (c *IncrementalCounter) unfold(idx *trackedIndex, rows []int) {
-	changed := false
+	before := idx.live
 	for _, row := range rows {
-		key := string(c.rowKey(idx, row))
-		before := idx.live
-		c.unlink(idx, key, int32(row))
-		if idx.live != before {
-			changed = true
-		}
+		unlink(idx, c.rowTuple(idx, row), int32(row))
 	}
-	if changed {
+	if idx.live != before {
 		idx.lastChanged = c.gen
 	}
 }
 
-// rowKey encodes the row's code tuple over idx's columns into the shared key
-// buffer, via the same canonical appendCodeKey encoding fold uses — cluster
-// lookups on delete/update must agree byte-for-byte with the keys the folds
-// stored. The codes of tombstoned rows remain readable, which is what lets a
-// delete locate the clusters the row leaves. Callers must hold c.mu.
-func (c *IncrementalCounter) rowKey(idx *trackedIndex, row int) []byte {
-	cols := c.colBuf[:0]
-	for _, col := range idx.cols {
-		cols = append(cols, c.r.ColumnCodes(col))
+// rowTuple reads the row's code tuple over idx's columns into the shared
+// tuple buffer. The codes of tombstoned rows remain readable, which is what
+// lets a delete locate the clusters the row leaves. Callers must hold c.mu.
+func (c *IncrementalCounter) rowTuple(idx *trackedIndex, row int) []int32 {
+	if cap(c.keyBuf) < len(idx.cols) {
+		c.keyBuf = make([]int32, len(idx.cols))
 	}
-	c.colBuf = cols
-	if need := len(idx.cols) * 4; cap(c.keyBuf) < need {
-		c.keyBuf = make([]byte, 0, need)
+	tuple := c.keyBuf[:len(idx.cols)]
+	for i, col := range idx.cols {
+		tuple[i] = c.r.ColumnCodes(col)[row]
 	}
-	return appendCodeKey(c.keyBuf[:0], cols, row)
-}
-
-// oldRowKey is rowKey over a pre-update snapshot of the row's codes (one
-// code per relation column), through the same canonical encoding.
-func (c *IncrementalCounter) oldRowKey(idx *trackedIndex, oldCodes []int32) []byte {
-	cols := c.colBuf[:0]
-	for _, col := range idx.cols {
-		cols = append(cols, oldCodes[col:col+1])
-	}
-	c.colBuf = cols
-	if need := len(idx.cols) * 4; cap(c.keyBuf) < need {
-		c.keyBuf = make([]byte, 0, need)
-	}
-	return appendCodeKey(c.keyBuf[:0], cols, 0)
+	return tuple
 }
 
 // growChain widens the row-indexed chain arrays to cover row ids below n,
@@ -974,14 +914,14 @@ func growChain(next, prev []int32, n int) ([]int32, []int32) {
 	return nn, np
 }
 
-// unlink removes row from the cluster key names in O(1) chain surgery,
+// unlink removes row from the cluster tuple names in O(1) chain surgery,
 // decrementing live if the cluster empties (its head then reads −1, spliced
 // from the dying last member). The empty cluster keeps its id so a later row
 // with the same codes revives it in place; the dying row's chain slots go
 // stale and are never read again.
-func (c *IncrementalCounter) unlink(idx *trackedIndex, key string, row int32) {
-	id, ok := idx.ids[key]
-	if !ok {
+func unlink(idx *trackedIndex, tuple []int32, row int32) {
+	id := idx.ids.get(tuple)
+	if id < 0 {
 		// The tracked state and the relation disagree; this cannot happen
 		// while mutations flow through the counter.
 		panic(fmt.Sprintf("pli: tracked index for %v lost cluster of row %d", idx.cols, row))
@@ -1023,25 +963,18 @@ func maybeCompact(idx *trackedIndex) {
 		idx.size[w] = n
 		w++
 	}
-	for key, id := range idx.ids {
-		if remap[id] < 0 {
-			delete(idx.ids, key)
-		} else {
-			idx.ids[key] = remap[id]
-		}
-	}
+	idx.ids.renumber(remap)
 	idx.head = idx.head[:w]
 	idx.size = idx.size[:w]
 	idx.dead = 0
 }
 
-// link adds row to the cluster key names, creating or reviving the cluster
-// (and incrementing live) as needed.
-func (c *IncrementalCounter) link(idx *trackedIndex, key string, row int32) {
-	id, ok := idx.ids[key]
-	if !ok {
-		id = int32(len(idx.head))
-		idx.ids[key] = id
+// link adds row to the cluster tuple names, creating or reviving the cluster
+// (and incrementing live) as needed. The chain arrays must already cover row:
+// every fold grows them to the rows it folds, so they cover each synced row.
+func link(idx *trackedIndex, tuple []int32, row int32) {
+	id, fresh := idx.ids.add(tuple)
+	if fresh {
 		idx.head = append(idx.head, -1)
 		idx.size = append(idx.size, 0)
 		idx.live++
@@ -1049,7 +982,6 @@ func (c *IncrementalCounter) link(idx *trackedIndex, key string, row int32) {
 		idx.live++
 		idx.dead--
 	}
-	idx.next, idx.prev = growChain(idx.next, idx.prev, int(row)+1)
 	h := idx.head[id]
 	idx.next[row] = h
 	idx.prev[row] = -1

@@ -259,9 +259,9 @@ func TestTrackedIndexCompaction(t *testing.T) {
 	if idx == nil {
 		t.Fatal("tracked index evicted")
 	}
-	if len(idx.ids) > 256 || len(idx.head) > 256 {
-		t.Fatalf("index grew to %d ids / %d cluster slots after 2000 distinct updates; compaction not working",
-			len(idx.ids), len(idx.head))
+	if idx.ids.n > 256 || len(idx.ids.slots) > 512 || len(idx.head) > 256 {
+		t.Fatalf("index grew to %d ids / %d table slots / %d cluster slots after 2000 distinct updates; compaction not working",
+			idx.ids.n, len(idx.ids.slots), len(idx.head))
 	}
 	if got, want := inc.Count(a), NewHashCounter(r).Count(a); got != want {
 		t.Fatalf("Count after churn = %d, want %d", got, want)
@@ -364,4 +364,123 @@ func TestEnsureTrackedCapacity(t *testing.T) {
 	if got := inc.TrackedSets(); got != 8 {
 		t.Fatalf("tracked sets = %d, want 8 (capacity must not shrink)", got)
 	}
+}
+
+// TestTrackedDMLAllocatesNothing pins that folding DML into tracked indexes
+// builds no keys: with a dozen tracked sets, deleting a live row and
+// updating a row into clusters that already exist must not allocate.
+func TestTrackedDMLAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	const ncols = 5
+	r := randomRelation(rng, 2000, ncols, 4)
+	inc := NewIncrementalCounter(r)
+	for _, s := range randomSets(rng, ncols, 16) {
+		inc.Track(s)
+	}
+	if n := inc.TrackedSets(); n < 10 {
+		t.Fatalf("only %d tracked sets", n)
+	}
+	row := 0
+	if a := testing.AllocsPerRun(100, func() {
+		if err := inc.Delete(row); err != nil {
+			t.Fatal(err)
+		}
+		row++
+	}); a != 0 {
+		t.Fatalf("Delete allocates %.1f times per row", a)
+	}
+	// Every code tuple of at most three columns over a 4-value domain has
+	// dozens of rows, so both updates join clusters that already exist.
+	tuples := [2][]relation.Value{
+		{relation.String("A"), relation.String("B"), relation.String("C"), relation.String("D"), relation.String("A")},
+		{relation.String("D"), relation.String("C"), relation.String("B"), relation.String("A"), relation.String("D")},
+	}
+	flip := 0
+	if a := testing.AllocsPerRun(100, func() {
+		if err := inc.Update(1999, tuples[flip%2]...); err != nil {
+			t.Fatal(err)
+		}
+		flip++
+	}); a != 0 {
+		t.Fatalf("Update allocates %.1f times per row", a)
+	}
+	fresh := NewHashCounter(r)
+	for _, s := range randomSets(rng, ncols, 16) {
+		if got, want := inc.Count(s), fresh.Count(s); got != want {
+			t.Fatalf("Count(%v) = %d, want %d", s, got, want)
+		}
+	}
+}
+
+// FuzzTrackedIndexDML turns a byte script into appends, deletes, updates
+// and compactions on a tiny three-column relation whose every attribute set
+// is tracked, and checks each tracked count against HashCounter after every
+// op. A three-value domain plus NULL keeps clusters emptying, reviving and
+// crossing the cluster tables' resizes.
+func FuzzTrackedIndexDML(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 0, 0, 0, 0, 1, 0, 2, 1, 4, 5, 6, 3})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 3, 0, 1, 1, 1})
+	f.Add([]byte{2, 0, 3, 3, 3, 2, 1, 0, 1, 2, 3, 1, 2, 0, 2, 2, 2})
+	f.Add([]byte{0, 0, 0, 0, 1, 2, 0, 0, 0, 0}) // append, delete it, append again: revival
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 512 {
+			script = script[:512]
+		}
+		r := buildRelation(t, []string{"a", "b", "c"}, [][]string{{"x", "y", "z"}, {"x", "y", "w"}})
+		inc := NewIncrementalCounter(r)
+		var sets []bitset.Set
+		for mask := 0; mask < 8; mask++ {
+			var s bitset.Set
+			for col := 0; col < 3; col++ {
+				if mask>>col&1 == 1 {
+					s.Add(col)
+				}
+			}
+			sets = append(sets, s)
+			inc.Track(s)
+		}
+		next := func() byte {
+			if len(script) == 0 {
+				return 0
+			}
+			b := script[0]
+			script = script[1:]
+			return b
+		}
+		tuple := func() []relation.Value {
+			tup := make([]relation.Value, 3)
+			for i := range tup {
+				if b := next() % 4; b < 3 {
+					tup[i] = relation.String(string(rune('p' + b)))
+				}
+			}
+			return tup
+		}
+		for step := 0; len(script) > 0; step++ {
+			live := liveRowIDs(r)
+			var err error
+			switch op := next() % 4; {
+			case op == 0 || len(live) == 0:
+				err = r.Append(tuple()...)
+			case op == 1:
+				err = inc.Delete(live[int(next())%len(live)])
+			case op == 2:
+				err = inc.Update(live[int(next())%len(live)], tuple()...)
+			default:
+				inc.Compact()
+			}
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			hash := NewHashCounter(r)
+			for _, s := range sets {
+				if got, want := inc.Count(s), hash.Count(s); got != want {
+					t.Fatalf("step %d: Count(%v) = %d, want %d", step, s, got, want)
+				}
+			}
+		}
+		if n := inc.TrackedSets(); n != len(sets) {
+			t.Fatalf("%d tracked sets, want %d", n, len(sets))
+		}
+	})
 }
