@@ -3,6 +3,8 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -40,6 +42,40 @@ func TestList(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("-list output missing %q", want)
 		}
+	}
+}
+
+// TestReadmeRegistryTable checks that README's registry table lists exactly
+// the experiment IDs -list prints.
+func TestReadmeRegistryTable(t *testing.T) {
+	out, err := captureStdout(t, func() error { return run([]string{"-list"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed []string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		listed = append(listed, strings.Fields(line)[0])
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "| ID | Regenerates |")
+	if !ok {
+		t.Fatal("README has no registry table")
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+	var documented []string
+	for _, line := range strings.Split(table, "\n") {
+		first, _, _ := strings.Cut(strings.TrimPrefix(line, "|"), "|")
+		for _, m := range regexp.MustCompile("`([a-z0-9-]+)`").FindAllStringSubmatch(first, -1) {
+			documented = append(documented, m[1])
+		}
+	}
+	slices.Sort(listed)
+	slices.Sort(documented)
+	if !slices.Equal(listed, documented) {
+		t.Errorf("README registry table lists %v, -list prints %v", documented, listed)
 	}
 }
 

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	fdrepair -csv places.csv -fd "District,Region -> AreaCode" -fd "Zip -> City,State"
-//	fdrepair -csv data.csv -fd "a -> b" -all -max-added 2 -strategy sort
+//	fdrepair -csv data.csv -fd "a -> b" -all -max-added 2
 //	fdrepair -csv data.csv -fd "a -> b" -interactive   # designer loop
 //	fdrepair -csv data.csv -fd "a -> b" -balanced      # §4.4 objective function
 //	fdrepair -csv data.csv -discover -max-lhs 2        # §2 discovery baseline
@@ -31,7 +31,6 @@ import (
 	"github.com/evolvefd/evolvefd/internal/core"
 	"github.com/evolvefd/evolvefd/internal/discovery"
 	"github.com/evolvefd/evolvefd/internal/pli"
-	"github.com/evolvefd/evolvefd/internal/query"
 	"github.com/evolvefd/evolvefd/internal/relation"
 	"github.com/evolvefd/evolvefd/internal/texttable"
 )
@@ -63,11 +62,10 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		maxGoodness = fs.Int("max-goodness", -1, "discard candidates with |goodness| above this (-1 = off)")
 		minimal     = fs.Bool("minimal", false, "prune repairs that are supersets of other repairs")
 		balanced    = fs.Bool("balanced", false, "use the §4.4 objective (size + inconsistency + |goodness|) instead of minimal-first")
-		strategy    = fs.String("strategy", "pli", "counting strategy: pli, hash, sort, or sql")
-		interactive = fs.Bool("interactive", false, "ask the designer to accept/skip/drop each proposal (-strategy is ignored)")
-		discover    = fs.Bool("discover", false, "list minimal exact FDs instead of repairing (-max-lhs bounds antecedents; -strategy is ignored)")
+		interactive = fs.Bool("interactive", false, "ask the designer to accept/skip/drop each proposal")
+		discover    = fs.Bool("discover", false, "list minimal exact FDs instead of repairing (-max-lhs bounds antecedents)")
 		maxLHS      = fs.Int("max-lhs", 2, "antecedent size bound for -discover and the -watch 'disc' command")
-		watch       = fs.Bool("watch", false, "streaming REPL: append tuples and re-check incrementally (-strategy is ignored)")
+		watch       = fs.Bool("watch", false, "streaming REPL: append tuples and re-check incrementally")
 		dataDir     = fs.String("data-dir", "", "persist the -watch session (write-ahead log + snapshots) in this directory; rerun with the same directory to recover after a restart")
 		follow      = fs.String("follow", "", "tail another fdrepair session's -data-dir as a read-only replica (REPL; no other flags apply)")
 		parallelism = fs.Int("parallelism", 0, "repair search workers (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
@@ -115,9 +113,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "loaded %s: %d attributes × %d tuples\n", rel.Name(), rel.NumCols(), rel.NumRows())
 	}
 
-	// -watch and -interactive drive a Session, which always counts
-	// incrementally, and -discover needs partitions; -strategy only selects
-	// the batch repair counter.
+	// -watch and -interactive drive a Session, which counts incrementally;
+	// -discover and batch repair count with partitions.
 	sessionOpts := evolvefd.Options{
 		FirstOnly:   !*all,
 		MaxAdded:    *maxAdded,
@@ -171,10 +168,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if *discover {
 		return runDiscover(stdout, pli.NewPLICounter(rel), *maxLHS)
 	}
-	counter, err := makeCounter(rel, *strategy)
-	if err != nil {
-		return err
-	}
 	parsed, err := parseAll(rel.Schema(), fds)
 	if err != nil {
 		return err
@@ -194,7 +187,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		opts.Candidates.MaxGoodness = maxGoodness
 	}
 
-	return runBatch(stdout, counter, parsed, opts)
+	return runBatch(stdout, pli.NewPLICounter(rel), parsed, opts)
 }
 
 // parseAll parses the -fd specs as F1, F2, …, decomposing multi-attribute
@@ -247,21 +240,6 @@ func runDiscover(w io.Writer, counter pli.SearchCounter, maxLHS int) error {
 	}
 	_, err := fmt.Fprintf(w, "%d minimal FDs found\n", len(fds))
 	return err
-}
-
-func makeCounter(rel *relation.Relation, strategy string) (pli.Counter, error) {
-	switch strategy {
-	case "pli":
-		return pli.NewPLICounter(rel), nil
-	case "hash":
-		return pli.NewHashCounter(rel), nil
-	case "sort":
-		return pli.NewSortCounter(rel), nil
-	case "sql":
-		return query.NewCounter(rel), nil
-	default:
-		return nil, fmt.Errorf("unknown strategy %q (want pli, hash, sort, or sql)", strategy)
-	}
 }
 
 func runBatch(w io.Writer, counter pli.Counter, fds []core.FD, opts core.RepairOptions) error {

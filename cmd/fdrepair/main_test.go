@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -115,21 +116,6 @@ func TestGoodnessThresholdFlag(t *testing.T) {
 	}
 }
 
-func TestStrategies(t *testing.T) {
-	path := placesCSV(t)
-	for _, strategy := range []string{"pli", "hash", "sort", "sql"} {
-		var out bytes.Buffer
-		err := run([]string{"-csv", path, "-fd", "District,Region -> AreaCode", "-strategy", strategy},
-			strings.NewReader(""), &out)
-		if err != nil {
-			t.Fatalf("strategy %s: %v", strategy, err)
-		}
-		if !strings.Contains(out.String(), "+{Municipal}") {
-			t.Errorf("strategy %s: best repair missing:\n%s", strategy, out.String())
-		}
-	}
-}
-
 func TestInteractiveAcceptAndDrop(t *testing.T) {
 	path := placesCSV(t)
 	var out bytes.Buffer
@@ -189,9 +175,9 @@ func TestFlagErrors(t *testing.T) {
 	if err := run([]string{"-csv", path, "-fd", "Ghost -> District"}, strings.NewReader(""), &out); err == nil {
 		t.Error("bad FD must error")
 	}
-	if err := run([]string{"-csv", path, "-fd", "District -> Region", "-strategy", "bogus"},
-		strings.NewReader(""), &out); err == nil {
-		t.Error("bad strategy must error")
+	if err := run([]string{"-csv", path, "-fd", "District -> Region", "-strategy", "sort"},
+		strings.NewReader(""), &out); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("-strategy must be an unknown flag, got %v", err)
 	}
 	if err := run([]string{"-csv", "/nonexistent.csv", "-fd", "a -> b"}, strings.NewReader(""), &out); err == nil {
 		t.Error("missing file must error")
@@ -239,5 +225,31 @@ func TestBalancedFlag(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "+{Municipal}") {
 		t.Errorf("balanced repair output wrong:\n%s", out.String())
+	}
+}
+
+// TestReadmeFlagTable keeps README's fdrepair flag table honest: every flag
+// it documents must be defined, so a deleted flag cannot linger in the docs.
+func TestReadmeFlagTable(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "**`fdrepair`**")
+	if !ok {
+		t.Fatal("README has no fdrepair section")
+	}
+	_, table, _ := strings.Cut(section, "| Flag | Meaning |")
+	table, _, _ = strings.Cut(table, "\n\n")
+	row := regexp.MustCompile("(?m)^\\| `(-[a-z-]+)")
+	flags := row.FindAllStringSubmatch(table, -1)
+	if len(flags) == 0 {
+		t.Fatal("README's fdrepair flag table is empty")
+	}
+	for _, m := range flags {
+		err := run([]string{m[1]}, strings.NewReader(""), &bytes.Buffer{})
+		if err != nil && strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("README documents %s, which fdrepair does not define", m[1])
+		}
 	}
 }

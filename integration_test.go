@@ -1,6 +1,7 @@
 package evolvefd_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -121,6 +122,84 @@ func quoteAll(names []string) []string {
 		out[i] = "`" + n + "`"
 	}
 	return out
+}
+
+// TestCounterAgreementOnRepairs runs the repair search under the PLI, hash
+// and sort counters, on Places and on a copy mutated by deletes and in-place
+// updates, with find-first and find-all under both objectives. The three
+// counters must return identical repairs and measures, and every repair
+// must be exact by HashCounter's recount: |π_XU| = |π_XUA|. The mutated
+// copy loses the last occurrence of several values, so SortCounter must
+// skip tombstones and HashCounter must not trust dictionary sizes.
+func TestCounterAgreementOnRepairs(t *testing.T) {
+	mutated := datasets.Places().Clone("places")
+	if err := mutated.Delete(0, 7); err != nil { // t8 holds the only Chester, Tower and 555-1234
+		t.Fatal(err)
+	}
+	if err := mutated.UpdateStrings(10, "Alexandria", "Moore Park", "QueenAnne", "517",
+		"888-5152", "Main", "60601", "Chicago", "IL"); err != nil { // drops the only Bay
+		t.Fatal(err)
+	}
+	if err := mutated.UpdateStrings(5, "Alexandria", "Moore Park", "NapaHill", "415",
+		"777-0000", "Napa", "60415", "Chicago", "IL"); err != nil {
+		t.Fatal(err)
+	}
+	if !mutated.Mutated() || mutated.LiveRows() != 9 {
+		t.Fatalf("mutated copy: Mutated=%v, %d live rows", mutated.Mutated(), mutated.LiveRows())
+	}
+	specs := []string{datasets.PlacesFDs()["F1"], datasets.PlacesFDs()["F2"],
+		datasets.PlacesFDs()["F3"], datasets.PlacesF4()}
+
+	for _, rel := range []*relation.Relation{datasets.Places(), mutated} {
+		hash := pli.NewHashCounter(rel)
+		counters := []struct {
+			name string
+			c    pli.Counter
+		}{
+			{"pli", pli.NewPLICounter(rel)},
+			{"hash", hash},
+			{"sort", pli.NewSortCounter(rel)},
+		}
+		found := 0
+		for _, spec := range specs {
+			parsed, err := core.ParseFD(rel.Schema(), "F", spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fd := range parsed.Decompose() {
+				for _, opts := range []core.RepairOptions{
+					{FirstOnly: true},
+					{},
+					{FirstOnly: true, Objective: core.ObjectiveBalanced},
+					{Objective: core.ObjectiveBalanced},
+				} {
+					name := fmt.Sprintf("%d rows/%s/first=%v/objective=%d",
+						rel.LiveRows(), fd.FormatWith(rel.Schema()), opts.FirstOnly, opts.Objective)
+					var want string
+					for _, entry := range counters {
+						res := core.FindRepairs(entry.c, fd, opts)
+						got := fmt.Sprintf("initial %v\n", res.Initial)
+						for _, rep := range res.Repairs {
+							got += fmt.Sprintf("+%v %v %v\n", rep.Added, rep.FD, rep.Measures)
+							if x, xa := hash.Count(rep.FD.X), hash.Count(rep.FD.Attrs()); x != xa {
+								t.Errorf("%s: %s repair %v is not exact: |π_XU| = %d, |π_XUA| = %d",
+									name, entry.name, rep.Added, x, xa)
+							}
+						}
+						if entry.name == "pli" {
+							want = got
+							found += len(res.Repairs)
+						} else if got != want {
+							t.Errorf("%s: %s counter disagrees with pli:\n%s\nwant\n%s", name, entry.name, got, want)
+						}
+					}
+				}
+			}
+		}
+		if found == 0 {
+			t.Fatalf("no repairs found on the %d-row instance", rel.LiveRows())
+		}
+	}
 }
 
 // TestEndToEndTPCHRoundTrip persists a generated TPC-H database to CSV,
