@@ -3,7 +3,8 @@
 // data violates, and print ranked antecedent extensions that repair them
 // (§6: "users connect to a … database and visualize its relations and all
 // FDs defined on each relation; then … they can start the process of FD
-// validation").
+// validation"). Every mode drives one evolvefd.Session over the loaded
+// relation.
 //
 // Usage:
 //
@@ -12,10 +13,6 @@
 //	fdrepair -csv data.csv -fd "a -> b" -interactive   # designer loop
 //	fdrepair -csv data.csv -fd "a -> b" -balanced      # §4.4 objective function
 //	fdrepair -csv data.csv -discover -max-lhs 2        # §2 discovery baseline
-//	fdrepair -csv data.csv -fd "a -> b" -watch         # streaming append/re-check REPL
-//	fdrepair -csv data.csv -fd "a -> b" -watch -data-dir state/   # durable REPL
-//	fdrepair -watch -data-dir state/                   # recover after a restart
-//	fdrepair -follow state/                            # read-only replica of a -watch session
 package main
 
 import (
@@ -29,9 +26,6 @@ import (
 
 	evolvefd "github.com/evolvefd/evolvefd"
 	"github.com/evolvefd/evolvefd/internal/core"
-	"github.com/evolvefd/evolvefd/internal/discovery"
-	"github.com/evolvefd/evolvefd/internal/pli"
-	"github.com/evolvefd/evolvefd/internal/relation"
 	"github.com/evolvefd/evolvefd/internal/texttable"
 )
 
@@ -64,160 +58,72 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		balanced    = fs.Bool("balanced", false, "use the §4.4 objective (size + inconsistency + |goodness|) instead of minimal-first")
 		interactive = fs.Bool("interactive", false, "ask the designer to accept/skip/drop each proposal")
 		discover    = fs.Bool("discover", false, "list minimal exact FDs instead of repairing (-max-lhs bounds antecedents)")
-		maxLHS      = fs.Int("max-lhs", 2, "antecedent size bound for -discover and the -watch 'disc' command")
-		watch       = fs.Bool("watch", false, "streaming REPL: append tuples and re-check incrementally")
-		dataDir     = fs.String("data-dir", "", "persist the -watch session (write-ahead log + snapshots) in this directory; rerun with the same directory to recover after a restart")
-		follow      = fs.String("follow", "", "tail another fdrepair session's -data-dir as a read-only replica (REPL; no other flags apply)")
+		maxLHS      = fs.Int("max-lhs", 2, "antecedent size bound for -discover (at least 1)")
 		parallelism = fs.Int("parallelism", 0, "repair search workers (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 	)
 	fs.Var(&fds, "fd", "functional dependency \"X1,X2 -> Y\" (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *dataDir != "" && !*watch {
-		return fmt.Errorf("-data-dir only applies to -watch sessions")
-	}
-	if *follow != "" {
-		if *watch || *csvPath != "" || len(fds) > 0 || *discover || *interactive {
-			return fmt.Errorf("-follow is a read-only replica of an existing session; it takes no -csv, -fd, -watch, -discover or -interactive")
-		}
-		f, err := evolvefd.OpenFollower(*follow, evolvefd.FollowerOptions{})
-		if err != nil {
-			return err
-		}
-		if _, err := f.CatchUp(); err != nil {
-			fmt.Fprintln(stdout, "warning: initial catch-up failed, serving last checkpoint:", err)
-		}
-		fmt.Fprintf(stdout, "following %s: %d live tuples, %d FDs at generation %d\n",
-			*follow, f.LiveRows(), len(f.Labels()), f.Stats().Seq)
-		defer trapSignals(f, stdout)()
-		return runFollow(stdin, stdout, f, evolvefd.Options{FirstOnly: !*all, MaxAdded: *maxAdded,
-			MinimalOnly: *minimal, Balanced: *balanced, Parallelism: *parallelism}, *maxLHS)
-	}
-	// A -watch restart recovers relation AND dependencies from the data
-	// directory, so neither -csv nor -fd is needed then.
-	recovering := *watch && *dataDir != "" && evolvefd.HasSessionState(*dataDir)
-	if *csvPath == "" && !recovering {
+	// Out-of-range bounds are refused rather than silently reinterpreted.
+	switch {
+	case *maxLHS < 1:
+		return fmt.Errorf("-max-lhs must be at least 1, got %d", *maxLHS)
+	case *maxAdded < 0:
+		return fmt.Errorf("-max-added must not be negative, got %d", *maxAdded)
+	case *maxGoodness < -1:
+		return fmt.Errorf("-max-goodness must be -1 (off) or a non-negative bound, got %d", *maxGoodness)
+	case *parallelism < 0:
+		return fmt.Errorf("-parallelism must not be negative, got %d", *parallelism)
+	case *csvPath == "":
 		return fmt.Errorf("-csv is required")
-	}
-	if len(fds) == 0 && !*discover && !recovering {
+	case len(fds) == 0 && !*discover:
 		return fmt.Errorf("at least one -fd is required (or -discover)")
 	}
-	var rel *relation.Relation
-	if !recovering {
-		var err error
-		rel, err = relation.ReadCSVFile(*csvPath, relation.CSVOptions{InferKinds: true})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "loaded %s: %d attributes × %d tuples\n", rel.Name(), rel.NumCols(), rel.NumRows())
+	rel, err := evolvefd.OpenCSV(*csvPath)
+	if err != nil {
+		return err
 	}
+	fmt.Fprintf(stdout, "loaded %s: %d attributes × %d tuples\n", rel.Name(), rel.NumCols(), rel.NumRows())
 
-	// -watch and -interactive drive a Session, which counts incrementally;
-	// -discover and batch repair count with partitions.
-	sessionOpts := evolvefd.Options{
+	session := evolvefd.NewSession(rel)
+	if *discover { // -discover wins over -interactive and ignores -fd
+		return runDiscover(stdout, session, *maxLHS)
+	}
+	if err := defineAll(session, fds); err != nil {
+		return err
+	}
+	opts := evolvefd.Options{
 		FirstOnly:   !*all,
 		MaxAdded:    *maxAdded,
+		MaxGoodness: evolvefd.GoodnessLimit(*maxGoodness), // -1 is no threshold
 		MinimalOnly: *minimal,
 		Balanced:    *balanced,
 		Parallelism: *parallelism,
 	}
-	if *maxGoodness >= 0 {
-		sessionOpts.MaxGoodness = evolvefd.GoodnessLimit(*maxGoodness)
+	if *interactive {
+		return runInteractive(stdin, stdout, session, opts)
 	}
-	if *watch {
-		var session *evolvefd.Session
-		switch {
-		case recovering:
-			var err error
-			session, err = evolvefd.OpenSession(*dataDir)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "recovered session from %s: %d live tuples, %d FDs\n",
-				*dataDir, session.LiveRows(), len(session.Labels()))
-			if len(fds) > 0 {
-				fmt.Fprintln(stdout, "note: -fd flags ignored; dependencies were recovered from the session state")
-				fds = nil
-			}
-		case *dataDir != "":
-			var err error
-			session, err = evolvefd.NewDurableSession(rel, *dataDir, evolvefd.DurabilityOptions{})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "persisting session state in %s\n", *dataDir)
-		default:
-			session = evolvefd.NewSession(rel)
-			fmt.Fprintln(stdout, "note: state is ephemeral — set -data-dir to persist this session across restarts")
-		}
-		if err := defineAll(session, fds); err != nil {
-			return err
-		}
-		defer trapSignals(session, stdout)()
-		return runWatch(stdin, stdout, session, sessionOpts, *maxLHS)
-	}
-
-	if *interactive && !*discover { // -discover wins over -interactive
-		session := evolvefd.NewSession(rel)
-		if err := defineAll(session, fds); err != nil {
-			return err
-		}
-		return runInteractive(stdin, stdout, session, sessionOpts)
-	}
-	if *discover {
-		return runDiscover(stdout, pli.NewPLICounter(rel), *maxLHS)
-	}
-	parsed, err := parseAll(rel.Schema(), fds)
-	if err != nil {
-		return err
-	}
-
-	opts := core.RepairOptions{
-		FirstOnly:       !*all,
-		MaxAdded:        *maxAdded,
-		PruneNonMinimal: *minimal,
-		Parallelism:     *parallelism,
-		Candidates:      core.CandidateOptions{Parallelism: *parallelism},
-	}
-	if *balanced {
-		opts.Objective = core.ObjectiveBalanced
-	}
-	if *maxGoodness >= 0 {
-		opts.Candidates.MaxGoodness = maxGoodness
-	}
-
-	return runBatch(stdout, pli.NewPLICounter(rel), parsed, opts)
+	return runBatch(stdout, session, opts)
 }
 
-// parseAll parses the -fd specs as F1, F2, …, decomposing multi-attribute
-// consequents into one FD per consequent attribute (F2.1, F2.2, …).
-func parseAll(schema *relation.Schema, specs []string) ([]core.FD, error) {
-	var parsed []core.FD
-	for i, spec := range specs {
-		fd, err := core.ParseFD(schema, "F"+strconv.Itoa(i+1), spec)
-		if err != nil {
-			return nil, err
-		}
-		parsed = append(parsed, fd.Decompose()...)
-	}
-	return parsed, nil
-}
-
-// defineAll declares the -fd specs on a session, so -watch and -interactive
-// see the dependency set the batch mode parses.
+// defineAll declares the -fd specs on the session as F1, F2, …,
+// decomposing multi-attribute consequents into one FD per consequent
+// attribute (F2.1, F2.2, …).
 func defineAll(session *evolvefd.Session, specs []string) error {
 	schema := session.Relation().Schema()
-	parsed, err := parseAll(schema, specs)
-	if err != nil {
-		return err
-	}
-	for _, fd := range parsed {
-		body := fmt.Sprintf("[%s] -> [%s]",
-			strings.Join(schema.NameSet(fd.X), ", "),
-			strings.Join(schema.NameSet(fd.Y), ", "))
-		if err := session.Define(fd.Label, body); err != nil {
+	for i, spec := range specs {
+		parsed, err := core.ParseFD(schema, "F"+strconv.Itoa(i+1), spec)
+		if err != nil {
 			return err
+		}
+		for _, fd := range parsed.Decompose() {
+			body := fmt.Sprintf("[%s] -> [%s]",
+				strings.Join(schema.NameSet(fd.X), ", "),
+				strings.Join(schema.NameSet(fd.Y), ", "))
+			if err := session.Define(fd.Label, body); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -225,57 +131,68 @@ func defineAll(session *evolvefd.Session, specs []string) error {
 
 // runDiscover lists the minimal exact FDs of the instance — the §2
 // "discover everything" baseline, exposed for comparison.
-func runDiscover(w io.Writer, counter pli.SearchCounter, maxLHS int) error {
-	schema := counter.Relation().Schema()
-	fds, stats := discovery.MinimalFDs(counter, discovery.Options{MaxLHS: maxLHS})
-	tab := texttable.New(
-		fmt.Sprintf("\nminimal exact FDs with ≤%d antecedent attributes (%d exactness checks)",
-			maxLHS, stats.Checked),
+func runDiscover(w io.Writer, s *evolvefd.Session, maxLHS int) error {
+	fds, err := s.Discover(evolvefd.DiscoveryOptions{MaxLHS: maxLHS})
+	if err != nil {
+		return err
+	}
+	tab := texttable.New(fmt.Sprintf("\nminimal exact FDs with ≤%d antecedent attributes", maxLHS),
 		"#", "FD").AlignRight(0)
 	for i, fd := range fds {
-		tab.Add(fmt.Sprintf("%d", i+1), fd.FormatWith(schema))
+		tab.Add(strconv.Itoa(i+1), fd.FD)
 	}
 	if _, err := io.WriteString(w, tab.Render()); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%d minimal FDs found\n", len(fds))
+	_, err = fmt.Fprintf(w, "%d minimal FDs found\n", len(fds))
 	return err
 }
 
-func runBatch(w io.Writer, counter pli.Counter, fds []core.FD, opts core.RepairOptions) error {
-	schema := counter.Relation().Schema()
-	ranked := core.OrderFDs(counter, fds, core.ScopeAllAttributes)
-
+// runBatch prints the violated FDs in repair order, then the satisfied ones
+// (which have no rank), then the repairs of each violated FD.
+func runBatch(w io.Writer, s *evolvefd.Session, opts evolvefd.Options) error {
 	status := texttable.New("\nfunctional dependencies (repair order)",
 		"FD", "confidence", "goodness", "status", "rank").AlignRight(1, 2, 4)
-	for _, rf := range ranked {
-		state := "violated"
-		if rf.Measures.Exact() {
-			state = "satisfied"
+	addRow := func(fd string, m evolvefd.Measures, state, rank string) {
+		status.Add(fd, fmt.Sprintf("%s = %.3f", m.ConfidenceRatio, m.Confidence),
+			strconv.Itoa(m.Goodness), state, rank)
+	}
+	violated := s.Check()
+	for _, v := range violated {
+		addRow(v.FD, v.Measures, "violated", fmt.Sprintf("%.3f", v.Rank))
+	}
+	for _, label := range s.Labels() {
+		m, err := s.Measures(label)
+		if err != nil {
+			return err
 		}
-		status.Add(rf.FD.FormatWith(schema),
-			fmt.Sprintf("%s = %.3f", rf.Measures.ConfidenceRatio(), rf.Measures.Confidence),
-			fmt.Sprintf("%d", rf.Measures.Goodness), state,
-			fmt.Sprintf("%.3f", rf.Rank))
+		if !m.Exact {
+			continue
+		}
+		fd, err := s.FDText(label)
+		if err != nil {
+			return err
+		}
+		addRow(fd, m, "satisfied", "-")
 	}
 	if _, err := io.WriteString(w, status.Render()); err != nil {
 		return err
 	}
 
-	for _, rf := range core.Violated(ranked) {
-		res := core.FindRepairs(counter, rf.FD, opts)
-		fmt.Fprintf(w, "\nrepairs for %s (%d candidates evaluated in %s):\n",
-			rf.FD.FormatWith(schema), res.Stats.Evaluated, res.Stats.Elapsed.Round(100_000).String())
-		if len(res.Repairs) == 0 {
+	for _, v := range violated {
+		repairs, err := s.Repair(v.Label, opts)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "\nrepairs for %s:\n", v.FD)
+		if len(repairs) == 0 {
 			fmt.Fprintln(w, "  none found within the configured bounds")
 			continue
 		}
 		tab := texttable.New("", "add to antecedent", "repaired FD", "confidence", "goodness").AlignRight(3)
-		for _, rep := range res.Repairs {
-			tab.Add("+{"+schema.FormatSet(rep.Added)+"}",
-				rep.FD.FormatWith(schema),
-				rep.Measures.ConfidenceRatio(),
-				fmt.Sprintf("%d", rep.Measures.Goodness))
+		for _, rep := range repairs {
+			tab.Add("+{"+strings.Join(rep.Added, ",")+"}", rep.FD,
+				rep.Measures.ConfidenceRatio, strconv.Itoa(rep.Measures.Goodness))
 		}
 		if _, err := io.WriteString(w, tab.Render()); err != nil {
 			return err

@@ -50,7 +50,6 @@ func TestBatchFindAll(t *testing.T) {
 // clock, never the printed repairs.
 func TestParallelismFlagInvariant(t *testing.T) {
 	path := placesCSV(t)
-	elapsed := regexp.MustCompile(`evaluated in [^)]+\)`)
 	outputs := make([]string, 0, 3)
 	for _, workers := range []string{"1", "2", "8"} {
 		var out bytes.Buffer
@@ -61,7 +60,7 @@ func TestParallelismFlagInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outputs = append(outputs, elapsed.ReplaceAllString(out.String(), "evaluated)"))
+		outputs = append(outputs, out.String())
 	}
 	for i := 1; i < len(outputs); i++ {
 		if outputs[i] != outputs[0] {
@@ -182,6 +181,27 @@ func TestFlagErrors(t *testing.T) {
 	if err := run([]string{"-csv", "/nonexistent.csv", "-fd", "a -> b"}, strings.NewReader(""), &out); err == nil {
 		t.Error("missing file must error")
 	}
+	// The live REPL flags are gone; fdserved is the live surface.
+	for _, args := range [][]string{{"-watch"}, {"-data-dir", "x"}, {"-follow", "x"}} {
+		err := run(append([]string{"-csv", path, "-fd", "District -> Region"}, args...),
+			strings.NewReader(""), &out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s must be an unknown flag, got %v", args[0], err)
+		}
+	}
+	// Out-of-range bounds are refused, not reinterpreted as a default.
+	for _, bound := range [][]string{
+		{"-max-lhs", "0"}, {"-max-lhs", "-1"}, {"-max-added", "-1"},
+		{"-parallelism", "-4"}, {"-max-goodness", "-5"},
+	} {
+		for _, mode := range []string{"-discover", "-all"} {
+			args := append([]string{"-csv", path, "-fd", "District -> Region", mode}, bound...)
+			err := run(args, strings.NewReader(""), &out)
+			if err == nil || !strings.Contains(err.Error(), bound[0]) {
+				t.Errorf("%s %s %s must be refused, got %v", mode, bound[0], bound[1], err)
+			}
+		}
+	}
 }
 
 func TestFDListFlag(t *testing.T) {
@@ -194,6 +214,20 @@ func TestFDListFlag(t *testing.T) {
 	}
 	if l.String() != "a -> b; c -> d" {
 		t.Fatalf("String = %q", l.String())
+	}
+	// A multi-attribute consequent is split into one FD per attribute.
+	var out bytes.Buffer
+	if err := run([]string{"-csv", placesCSV(t), "-fd", "Zip -> City,State"},
+		strings.NewReader(""), &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"F1.1: [Zip] -> [City]", "F1.2: [Zip] -> [State]"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Contains(out.String(), "[City, State]") {
+		t.Errorf("consequent not decomposed:\n%s", out.String())
 	}
 }
 

@@ -124,10 +124,11 @@ func quoteAll(names []string) []string {
 	return out
 }
 
-// TestCounterAgreementOnRepairs runs the repair search under the PLI, hash
-// and sort counters, on Places and on a copy mutated by deletes and in-place
-// updates, with find-first and find-all under both objectives. The three
-// counters must return identical repairs and measures, and every repair
+// TestCounterAgreementOnRepairs runs the repair search under the PLI, hash,
+// sort and incremental counters (the last is the one every Session, and so
+// fdrepair, searches with), on Places and on a copy mutated by deletes and
+// in-place updates, with find-first and find-all under both objectives. The
+// four counters must return identical repairs and measures, and every repair
 // must be exact by HashCounter's recount: |π_XU| = |π_XUA|. The mutated
 // copy loses the last occurrence of several values, so SortCounter must
 // skip tombstones and HashCounter must not trust dictionary sizes.
@@ -159,6 +160,7 @@ func TestCounterAgreementOnRepairs(t *testing.T) {
 			{"pli", pli.NewPLICounter(rel)},
 			{"hash", hash},
 			{"sort", pli.NewSortCounter(rel)},
+			{"incremental", pli.NewIncrementalCounter(rel)},
 		}
 		found := 0
 		for _, spec := range specs {
