@@ -1,6 +1,7 @@
 package evolvefd_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -63,6 +64,25 @@ func TestSessionDiscoverPlaces(t *testing.T) {
 	}
 	if len(capped) > 3 {
 		t.Fatalf("MaxResults ignored by Discover: %d results", len(capped))
+	}
+}
+
+// TestSessionDiscoverRefusesNegativeBounds: a negative MaxLHS or MaxResults
+// is an error wrapping ErrBadValue from both discovery entry points, not a
+// bound silently read as another (MaxLHS as 2, MaxResults as "stop after the
+// first FD").
+func TestSessionDiscoverRefusesNegativeBounds(t *testing.T) {
+	s := evolvefd.NewSession(datasets.Places())
+	for _, opts := range []evolvefd.DiscoveryOptions{{MaxLHS: -1}, {MaxResults: -1}, {MaxLHS: 1, MaxResults: -5}} {
+		if found, err := s.Discover(opts); !errors.Is(err, evolvefd.ErrBadValue) {
+			t.Errorf("Discover(%+v) = %d FDs, %v; want ErrBadValue", opts, len(found), err)
+		}
+		if found, err := s.DiscoverIncremental(opts); !errors.Is(err, evolvefd.ErrBadValue) {
+			t.Errorf("DiscoverIncremental(%+v) = %d FDs, %v; want ErrBadValue", opts, len(found), err)
+		}
+	}
+	if _, err := s.Discover(evolvefd.DiscoveryOptions{}); err != nil {
+		t.Fatalf("zero options must still mean the defaults: %v", err)
 	}
 }
 

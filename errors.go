@@ -23,7 +23,7 @@ var (
 	// schema (Append, AppendStrings, Update, UpdateStrings).
 	ErrArity = relation.ErrArity
 	// ErrBadValue flags a cell that cannot be parsed into, or does not fit,
-	// its column's kind.
+	// its column's kind, and a negative discovery bound (DiscoveryOptions).
 	ErrBadValue = relation.ErrBadValue
 	// ErrUnknownRow flags a Delete or Update of a row id that is out of
 	// range or already deleted.

@@ -583,16 +583,19 @@ func (s *Session) Accept(label string, suggestion Suggestion) error {
 
 // DiscoveryOptions bounds an FD discovery pass over the session's instance.
 type DiscoveryOptions struct {
-	// MaxLHS bounds antecedent size; 0 means 2. Discovery is exponential in
-	// this bound.
+	// MaxLHS bounds antecedent size; 0 means 2, and a negative bound is
+	// refused with an error wrapping ErrBadValue. Discovery is exponential
+	// in this bound.
 	MaxLHS int
 	// Consequents restricts discovery to the named consequent attributes;
 	// nil means every NULL-free attribute.
 	Consequents []string
 	// MaxResults stops a one-shot Discover after this many minimal FDs
-	// (0 = no bound). DiscoverIncremental ignores it: a maintained cover is
-	// always complete, because a truncated one could not stay in agreement
-	// with a from-scratch discovery as the data evolves.
+	// (0 = no bound); a negative value is refused with an error wrapping
+	// ErrBadValue, by DiscoverIncremental too. DiscoverIncremental ignores
+	// the bound otherwise: a maintained cover is always complete, because a
+	// truncated one could not stay in agreement with a from-scratch
+	// discovery as the data evolves.
 	MaxResults int
 }
 
@@ -759,14 +762,18 @@ func (s *Session) coverLocked(opts DiscoveryOptions) ([]core.FD, error) {
 }
 
 // resolveDiscovery maps name-based facade options to the internal
-// position-based ones, normalising MaxLHS and canonicalising Consequents
-// (schema order, duplicates dropped) so that option sets describing the
-// same lattice compare equal — a reordered Consequents list must not
-// discard the maintained borders, and a repeated name must not duplicate a
-// column's FDs in the cover.
+// position-based ones, refusing negative bounds, normalising MaxLHS and
+// canonicalising Consequents (schema order, duplicates dropped) so that
+// option sets describing the same lattice compare equal — a reordered
+// Consequents list must not discard the maintained borders, and a repeated
+// name must not duplicate a column's FDs in the cover.
 func (s *Session) resolveDiscovery(opts DiscoveryOptions) (discovery.Options, error) {
 	out := discovery.Options{MaxLHS: opts.MaxLHS, MaxResults: opts.MaxResults}
-	if out.MaxLHS <= 0 {
+	if opts.MaxLHS < 0 || opts.MaxResults < 0 {
+		return out, fmt.Errorf("evolvefd: %w: discovery bounds must not be negative (MaxLHS %d, MaxResults %d)",
+			ErrBadValue, opts.MaxLHS, opts.MaxResults)
+	}
+	if out.MaxLHS == 0 {
 		out.MaxLHS = 2
 	}
 	if opts.Consequents != nil {

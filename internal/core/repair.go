@@ -121,12 +121,25 @@ type RepairResult struct {
 // node is a queue entry: the set of added attributes, the measures of the
 // corresponding extended FD, and the balanced-objective score (0 under
 // minimal-first).
+//
+// measured is false only on the witness path (see FindRepairs), for a node
+// the witness found inexact: its measures were never computed and stay
+// zero. That is sound because nothing reads them. Such a node's size batch
+// pops whole, every inexact node of it is expanded, and its children are
+// re-sorted by the queue's total order, so its confidence and goodness
+// reach neither the result nor the stats. Only its position relative to the
+// exact nodes of its size matters, and Less keeps it behind them, where its
+// confidence below 1 would have put it.
 type node struct {
 	added    bitset.Set
 	addedKey []int // sorted members, for deterministic comparison
 	measures Measures
+	measured bool
 	score    float64
 }
+
+// exact reports whether the node's extended FD is exact.
+func (n *node) exact() bool { return n.measured && n.measures.Exact() }
 
 // nodeQueue is the priority queue of Algorithm 3. Under the minimal-first
 // objective it orders by increasing cardinality of the added set (so the
@@ -149,6 +162,9 @@ func (q *nodeQueue) Less(i, j int) bool {
 	}
 	if len(a.addedKey) != len(b.addedKey) {
 		return len(a.addedKey) < len(b.addedKey)
+	}
+	if a.measured != b.measured {
+		return a.measured
 	}
 	if a.measures.Confidence != b.measures.Confidence {
 		return a.measures.Confidence > b.measures.Confidence
@@ -176,18 +192,21 @@ func (q *nodeQueue) Pop() any {
 
 // expandTask is one child evaluation: extend parent (whose extended FD has
 // antecedent extX and attribute set extXY) by attr. Tasks of one wave are
-// evaluated across the worker pool; m is filled in by the worker. Under
-// partition reuse, pX and pXY carry the parent's materialised partitions,
-// resolved once per parent node rather than once per child.
+// evaluated across the worker pool; m and measured are filled in by the
+// worker (measured as on node). With a SearchCounter, pX carries the
+// parent's materialised π_X, resolved once per parent node rather than once
+// per child; pXY carries its π_XY on the count path only, and is nil on the
+// witness path.
 type expandTask struct {
-	parent *node
-	extX   bitset.Set // X ∪ U of the parent
-	extXY  bitset.Set // X ∪ U ∪ Y of the parent
-	extY   bitset.Set
-	pX     *pli.Partition
-	pXY    *pli.Partition
-	attr   int
-	m      Measures
+	parent   *node
+	extX     bitset.Set // X ∪ U of the parent
+	extXY    bitset.Set // X ∪ U ∪ Y of the parent
+	extY     bitset.Set
+	pX       *pli.Partition
+	pXY      *pli.Partition
+	attr     int
+	m        Measures
+	measured bool
 }
 
 // FindRepairs runs the Extend search (Algorithm 3) for one FD. If the FD is
@@ -208,15 +227,29 @@ type expandTask struct {
 // parallelism. Budgeted and balanced searches process one node per batch,
 // which preserves the serial stopping rules exactly; their child evaluations
 // still fan out.
+//
+// How a child XU′ → Y is evaluated depends on the counter and the options;
+// results are identical on every path:
+//
+//   - Witness path: a SearchCounter under the minimal-first objective with
+//     no MaxEvaluated budget and no Candidates.MaxGoodness. These searches
+//     read no inexact node's measures, so each child asks only "is it
+//     exact?": one pli Witness scan of the parent's π_X, which also yields
+//     |π_X′|. An exact child's measures are NewMeasures(|π_X′|, |π_X′|,
+//     |π_Y|); an inexact one is left unmeasured. An expanded node
+//     materialises π_X′ only.
+//   - Count path: a SearchCounter under the balanced objective, a budget or
+//     MaxGoodness, which order, stop or filter on inexact measures. Each
+//     child costs two ChildCount products off the parent's π_X and π_XY,
+//     and an expanded node materialises both.
+//   - A plain Counter evaluates each child with Compute.
 func FindRepairs(counter pli.Counter, fd FD, opts RepairOptions) RepairResult {
 	start := time.Now()
 	workers := opts.workerCount()
-	// A SearchCounter lets each child derive from its parent's materialised
-	// partition (one stripped product); any other Counter takes the generic
-	// Count path. Results are identical either way.
 	sc, _ := counter.(pli.SearchCounter)
 
-	res := RepairResult{FD: fd, Initial: computeInitial(counter, sc, fd, workers)}
+	initial, pX0 := computeInitial(counter, sc, fd, workers)
+	res := RepairResult{FD: fd, Initial: initial}
 	if res.Initial.Exact() {
 		res.Stats.Exhausted = true
 		res.Stats.Elapsed = time.Since(start)
@@ -229,6 +262,11 @@ func FindRepairs(counter pli.Counter, fd FD, opts RepairOptions) RepairResult {
 		maxAdded = len(pool)
 	}
 	balanced := opts.Objective == ObjectiveBalanced
+	// yLabels is non-nil exactly on the witness path.
+	var yLabels []int32
+	if sc != nil && !balanced && opts.MaxEvaluated == 0 && opts.Candidates.MaxGoodness == nil {
+		yLabels = rowLabelsOf(sc, fd.Y, workers)
+	}
 	lambda := opts.GoodnessWeight
 	if lambda <= 0 {
 		lambda = 1
@@ -246,9 +284,9 @@ func FindRepairs(counter pli.Counter, fd FD, opts RepairOptions) RepairResult {
 	// balanced objective's stopping rule needs the smallest live size. A
 	// slice beats a map here — the hot loop decrements it on every pop.
 	sizeCounts := make([]int, maxAdded+2)
-	push := func(added bitset.Set, m Measures) {
+	push := func(added bitset.Set, m Measures, measured bool) {
 		key := added.Members()
-		heap.Push(q, &node{added: added, addedKey: key, measures: m, score: score(len(key), m)})
+		heap.Push(q, &node{added: added, addedKey: key, measures: m, measured: measured, score: score(len(key), m)})
 		sizeCounts[len(key)]++
 		res.Stats.Enqueued++
 	}
@@ -262,12 +300,15 @@ func FindRepairs(counter pli.Counter, fd FD, opts RepairOptions) RepairResult {
 	}
 
 	// Seed with all single-attribute extensions (ExtendByOne). With a
-	// search-aware counter the candidates are scored through the count-only
-	// product kernel off the root partitions — same integers, no child
-	// partitions materialised; the queue's total order makes the push order
-	// irrelevant, so ExtendByOne's sort is not needed here.
+	// search-aware counter the candidates are evaluated off the root
+	// partitions like any other child — same integers, no child partitions
+	// materialised; the queue's total order makes the push order irrelevant,
+	// so ExtendByOne's sort is not needed here.
 	if sc != nil {
-		pX0, pXY0 := sc.PartitionPar(fd.X, workers), sc.PartitionPar(fd.Attrs(), workers)
+		var pXY0 *pli.Partition
+		if yLabels == nil {
+			pXY0 = sc.PartitionPar(fd.Attrs(), workers)
+		}
 		seed := make([]expandTask, len(pool))
 		for i, attr := range pool {
 			seed[i] = expandTask{
@@ -275,7 +316,7 @@ func FindRepairs(counter pli.Counter, fd FD, opts RepairOptions) RepairResult {
 				pX: pX0, pXY: pXY0, attr: attr,
 			}
 		}
-		evalTasks(counter, sc, res.Initial.NumY, seed, workers)
+		evalTasks(counter, sc, yLabels, res.Initial.NumY, seed, workers)
 		for i := range seed {
 			t := &seed[i]
 			if opts.Candidates.MaxGoodness != nil && abs(t.m.Goodness) > *opts.Candidates.MaxGoodness {
@@ -284,12 +325,12 @@ func FindRepairs(counter pli.Counter, fd FD, opts RepairOptions) RepairResult {
 			// ExtendByOne filters before its caller counts, so only kept
 			// candidates show up in Evaluated — mirror that for identical stats.
 			res.Stats.Evaluated++
-			push(bitset.New(t.attr), t.m)
+			push(bitset.New(t.attr), t.m, t.measured)
 		}
 	} else {
 		for _, c := range ExtendByOne(counter, fd, opts.Candidates) {
 			res.Stats.Evaluated++
-			push(bitset.New(c.Attr), c.Measures)
+			push(bitset.New(c.Attr), c.Measures, true)
 		}
 	}
 
@@ -324,7 +365,7 @@ func FindRepairs(counter pli.Counter, fd FD, opts RepairOptions) RepairResult {
 		// wave after the walk.
 		tasks = tasks[:0]
 		for _, n := range batch {
-			if n.measures.Exact() {
+			if n.exact() {
 				if opts.FirstOnly && balanced {
 					if best == nil || n.score < best.score {
 						best = n
@@ -364,12 +405,14 @@ func FindRepairs(counter pli.Counter, fd FD, opts RepairOptions) RepairResult {
 			extFD := fd.WithExtendedAntecedent(n.added)
 			extXY := extFD.Attrs()
 			// Resolve the parent's partitions once per node: every child of
-			// this node products off the same two handles, and a tracked
+			// this node reads the same handles, and a tracked
 			// IncrementalCounter set would otherwise re-materialise per task.
 			var pX, pXY *pli.Partition
 			if sc != nil {
 				pX = sc.PartitionPar(extFD.X, workers)
-				pXY = sc.PartitionPar(extXY, workers)
+				if yLabels == nil {
+					pXY = sc.PartitionPar(extXY, workers)
+				}
 			}
 			for _, attr := range pool {
 				if attr <= maxIdx {
@@ -386,14 +429,14 @@ func FindRepairs(counter pli.Counter, fd FD, opts RepairOptions) RepairResult {
 			}
 		}
 
-		evalTasks(counter, sc, res.Initial.NumY, tasks, workers)
+		evalTasks(counter, sc, yLabels, res.Initial.NumY, tasks, workers)
 		res.Stats.Evaluated += len(tasks)
 		for i := range tasks {
 			t := &tasks[i]
 			if opts.Candidates.MaxGoodness != nil && abs(t.m.Goodness) > *opts.Candidates.MaxGoodness {
 				continue
 			}
-			push(t.parent.added.With(t.attr), t.m)
+			push(t.parent.added.With(t.attr), t.m, t.measured)
 		}
 	}
 	if best != nil {
@@ -412,51 +455,69 @@ func FindRepairs(counter pli.Counter, fd FD, opts RepairOptions) RepairResult {
 	return res
 }
 
-// evalTasks computes the measures of every task, fanning out across at most
-// `workers` goroutines. Counters are safe for concurrent use, so workers
-// share the partition cache; results land in each task's m field, keeping
-// the caller's deterministic ordering intact.
-func evalTasks(counter pli.Counter, sc pli.SearchCounter, numY int, tasks []expandTask, workers int) {
+// evalTasks evaluates every task, fanning out across at most `workers`
+// goroutines. Counters are safe for concurrent use, so workers share the
+// partition cache; results land in each task's m and measured fields,
+// keeping the caller's deterministic ordering intact. yLabels is non-nil on
+// the witness path (see FindRepairs).
+func evalTasks(counter pli.Counter, sc pli.SearchCounter, yLabels []int32, numY int, tasks []expandTask, workers int) {
 	if len(tasks) == 0 {
 		return
 	}
 	parallelFor(len(tasks), workers, func(i int) {
 		t := &tasks[i]
 		if sc != nil {
-			t.m = computeChild(sc, t, numY)
+			computeChild(sc, t, yLabels, numY)
 			return
 		}
 		child := FD{X: t.extX.With(t.attr), Y: t.extY}
-		t.m = Compute(counter, child)
+		t.m, t.measured = Compute(counter, child), true
 	})
 }
 
-// computeChild derives the child FD's measures from the parent's
-// materialised partitions (threaded through the task): each of |π_X'| and
-// |π_X'Y| is one count-only stripped product (parent · singleton) instead of
-// a generic cache probe that rebuilds from single-column factors on a miss —
-// no child arena is allocated or written unless the node is later expanded,
-// at which point PartitionPar materialises it. |π_Y| is constant across the
-// whole search and passed in. The counts are the same integers the generic
-// path computes, so measures are bit-identical.
-func computeChild(sc pli.SearchCounter, t *expandTask, numY int) Measures {
+// computeChild evaluates a child off the parent's materialised partitions
+// (threaded through the task); nothing of the child is materialised unless
+// the node is later expanded, at which point PartitionPar builds its π_X′.
+// |π_Y| is constant across the whole search and passed in.
+//
+// On the witness path (yLabels non-nil) one Witness scan of the parent's
+// π_X decides exactness and, for an exact child, yields |π_X′| = |π_X′Y|;
+// an inexact child stays unmeasured. On the count path |π_X′| and |π_X′Y|
+// are one count-only ChildCount product each. Either way the counts are
+// the integers the generic path computes, so measures are bit-identical.
+func computeChild(sc pli.SearchCounter, t *expandTask, yLabels []int32, numY int) {
+	if yLabels != nil {
+		if w1, _, numX := t.pX.Witness(sc.Relation(), t.attr, yLabels); w1 < 0 {
+			t.m, t.measured = NewMeasures(numX, numX, numY), true
+		}
+		return
+	}
 	numX := sc.ChildCount(t.extX, t.pX, t.attr)
 	numXY := sc.ChildCount(t.extXY, t.pXY, t.attr)
-	return NewMeasures(numX, numXY, numY)
+	t.m, t.measured = NewMeasures(numX, numXY, numY), true
 }
 
-// computeInitial scores the root FD. A search-aware counter builds the three
-// root partitions with the sharded parallel product (they are reused by the
-// seeding wave and cached for the whole search); the generic path is one
-// Compute, exactly as before.
-func computeInitial(counter pli.Counter, sc pli.SearchCounter, fd FD, workers int) Measures {
-	if sc == nil {
-		return Compute(counter, fd)
+// rowLabelsOf returns Witness's Y labels: the column's codes when y is one
+// attribute, π_Y's class labels when it spans several.
+func rowLabelsOf(sc pli.SearchCounter, y bitset.Set, workers int) []int32 {
+	if y.Len() == 1 {
+		return sc.Relation().ColumnCodes(y.Min())
 	}
-	numX := sc.PartitionPar(fd.X, workers).NumClasses()
-	numXY := sc.PartitionPar(fd.Attrs(), workers).NumClasses()
-	numY := sc.PartitionPar(fd.Y, workers).NumClasses()
-	return NewMeasures(numX, numXY, numY)
+	return sc.PartitionPar(y, workers).RowLabels()
+}
+
+// computeInitial scores the root FD. A search-aware counter materialises
+// the root π_X, which the seeding wave extends, with the sharded parallel
+// product and returns it; |π_XY| and |π_Y| are plain counts. For the sets
+// a Session tracks those counts are O(1), while every PartitionPar call
+// would rebuild the partition from the tracked clusters. The generic path
+// is one Compute.
+func computeInitial(counter pli.Counter, sc pli.SearchCounter, fd FD, workers int) (Measures, *pli.Partition) {
+	if sc == nil {
+		return Compute(counter, fd), nil
+	}
+	pX := sc.PartitionPar(fd.X, workers)
+	return NewMeasures(pX.NumClasses(), counter.Count(fd.Attrs()), counter.Count(fd.Y)), pX
 }
 
 // pruneNonMinimal removes repairs whose added set is a proper superset of

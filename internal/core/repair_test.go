@@ -2,11 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/evolvefd/evolvefd/internal/bitset"
 	"github.com/evolvefd/evolvefd/internal/pli"
 	"github.com/evolvefd/evolvefd/internal/relation"
+	"github.com/evolvefd/evolvefd/internal/tpch"
 )
 
 func mustIndexSet(t testing.TB, r *relation.Relation, names ...string) bitset.Set {
@@ -376,5 +378,34 @@ func TestPlacesF3IsUnrepairable(t *testing.T) {
 	}
 	if !res.Stats.Exhausted {
 		t.Fatal("the full search space should have been explored")
+	}
+}
+
+// TestFindAllBoundedIsPrefixOfUnbounded: on the Table 5 lineitem FD
+// l_partkey → l_suppkey, find-all with MaxAdded = 3 returns exactly the
+// unbounded search's repairs with at most three added attributes, in the
+// same order and with the same measures. Both searches walk sizes in
+// ascending order and a size's nodes never depend on larger ones, so the
+// bound only cuts the tail.
+func TestFindAllBoundedIsPrefixOfUnbounded(t *testing.T) {
+	r := tpch.GenerateTable("lineitem", 0.001, 1)
+	fd, err := ParseFD(r.Schema(), "L", tpch.Table5FDs()["lineitem"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	unbounded := FindRepairs(pli.NewPLICounter(r), fd, RepairOptions{})
+	bounded := FindRepairs(pli.NewPLICounter(r), fd, RepairOptions{MaxAdded: 3})
+	var want []Repair
+	for _, rep := range unbounded.Repairs {
+		if rep.Added.Len() <= 3 {
+			want = append(want, rep)
+		}
+	}
+	if len(want) == 0 || len(want) == len(unbounded.Repairs) {
+		t.Fatalf("%d of %d unbounded repairs within the bound: the bound cuts nothing", len(want), len(unbounded.Repairs))
+	}
+	if !reflect.DeepEqual(bounded.Repairs, want) {
+		t.Fatalf("MaxAdded = 3 found %d repairs, want the unbounded search's %d with ≤ 3 added attributes",
+			len(bounded.Repairs), len(want))
 	}
 }

@@ -2,8 +2,9 @@
 // functional dependencies (TANE-style, over the PLI substrate), one-shot
 // (MinimalFDs) and maintained across DML (IncrementalDiscoverer). Both seed
 // through one lattice walk, and every validity test is one witness scan of
-// π_X: X → A holds iff each class of π_X is constant on A's codes, and the
-// first class that is not yields a violating row pair.
+// π_X (pli's Partition.Witness, shared with the repair search): X → A holds
+// iff each class of π_X is constant on A's codes, and the first class that
+// is not yields a violating row pair.
 //
 // It exists as the baseline the paper's §2 argues against: to update stale
 // constraints one could "first discover all the possible constraints from
@@ -110,7 +111,8 @@ func lattice(r *relation.Relation, consequents []int) []*consequentState {
 // ran to completion.
 func walk(counter pli.SearchCounter, st *consequentState, maxLHS int, stats *Stats,
 	valid func(x bitset.Set) bool, invalid func(x bitset.Set, w1, w2 int)) bool {
-	codes := counter.Relation().ColumnCodes(st.y)
+	r := counter.Relation()
+	codes := r.ColumnCodes(st.y)
 	var minimal []bitset.Set
 	more := true
 	for size := 1; size <= maxLHS && more; size++ {
@@ -123,7 +125,7 @@ func walk(counter pli.SearchCounter, st *consequentState, maxLHS int, stats *Sta
 				}
 			}
 			stats.Checked++
-			if w1, w2 := witness(counter.Partition(x), codes); w1 >= 0 {
+			if w1, w2, _ := counter.Partition(x).Witness(r, -1, codes); w1 >= 0 {
 				invalid(x, w1, w2)
 				return true
 			}
@@ -133,27 +135,6 @@ func walk(counter pli.SearchCounter, st *consequentState, maxLHS int, stats *Sta
 		})
 	}
 	return more
-}
-
-// witness is the one validity test: X → A holds iff every stored class of
-// π_X is constant on A's column codes (singleton classes cannot violate, so
-// the stripped partition suffices). It returns the head of the first class
-// that is not and its first member with a different A-code — a violating row
-// pair — or (-1, -1) when the FD holds. ForEachClass streams arena views and
-// decoded bitmap classes without materialising a [][]int32.
-func witness(p *pli.Partition, codes []int32) (w1, w2 int) {
-	w1, w2 = -1, -1
-	p.ForEachClass(func(cls []int32) bool {
-		c0 := codes[cls[0]]
-		for _, row := range cls[1:] {
-			if codes[row] != c0 {
-				w1, w2 = int(cls[0]), int(row)
-				return false
-			}
-		}
-		return true
-	})
-	return w1, w2
 }
 
 // forEachSubset enumerates size-k subsets of pool in lexicographic order,

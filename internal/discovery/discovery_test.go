@@ -309,9 +309,9 @@ func TestQuickWitnessMatchesCounts(t *testing.T) {
 				holds := hash.Count(x) == hash.Count(x.With(a))
 				codes := r.ColumnCodes(a)
 				for name, p := range map[string]*pli.Partition{"pli": plic.Partition(x), "tracked": inc.Partition(x)} {
-					w1, w2 := witness(p, codes)
+					w1, w2, _ := p.Witness(r, -1, codes)
 					if (w1 < 0) != holds {
-						t.Fatalf("iter %d %s: witness(%v -> %d) = (%d,%d), counts say holds=%v", iter, name, x, a, w1, w2, holds)
+						t.Fatalf("iter %d %s: Witness(%v -> %d) = (%d,%d), counts say holds=%v", iter, name, x, a, w1, w2, holds)
 					}
 					if w1 < 0 {
 						continue

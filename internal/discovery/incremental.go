@@ -305,10 +305,11 @@ func (d *IncrementalDiscoverer) revalidateCover(st *consequentState, ctx *batchC
 	if len(broken) == 0 {
 		return
 	}
-	codes := d.counter.Relation().ColumnCodes(st.y)
+	r := d.counter.Relation()
+	codes := r.ColumnCodes(st.y)
 	for _, x := range broken {
 		d.stats.Demoted++
-		w1, w2 := witness(d.counter.Partition(x), codes)
+		w1, w2, _ := d.counter.Partition(x).Witness(r, -1, codes)
 		ctx.memo[x.Key()] = [2]int{w1, w2}
 		d.addInvalid(st, x, w1, w2)
 	}
@@ -434,7 +435,9 @@ func (d *IncrementalDiscoverer) searchDown(st *consequentState, w bitset.Set, ct
 // violating pair, or (-1, -1) when the FD holds.
 func (d *IncrementalDiscoverer) probe(st *consequentState, x bitset.Set) (int, int) {
 	d.stats.Probes++
-	return witness(d.counter.Partition(x), d.counter.Relation().ColumnCodes(st.y))
+	r := d.counter.Relation()
+	w1, w2, _ := d.counter.Partition(x).Witness(r, -1, r.ColumnCodes(st.y))
+	return w1, w2
 }
 
 // promote installs x as a minimal cover FD (idempotently), recording the

@@ -25,9 +25,10 @@ type Counter interface {
 
 // SearchCounter is a Counter that additionally exposes its materialised
 // partitions, so a repair search can thread a parent node's partition handle
-// through expansion: each child X∪U∪{a} then costs one stripped product
-// (parent · singleton) instead of a from-scratch fold over single columns —
-// and, for scoring, one count-only product that materialises nothing at all.
+// through expansion: each child X∪U∪{a} is then judged off the parent's
+// partition — by one Witness scan when only exactness matters, or by a
+// count-only product — and an expanded child costs one stripped product
+// (parent · singleton) instead of a from-scratch fold over single columns.
 // A handle is good for the relation state it was taken in; a search must not
 // carry one across a mutation. PLICounter and IncrementalCounter implement it.
 type SearchCounter interface {
@@ -46,6 +47,9 @@ type SearchCounter interface {
 	// via the count-only product kernel when the child partition is not
 	// already cached. Nothing is materialised or memoised on a miss: child
 	// scoring needs sizes, not members. parent must be the partition of x.
+	// The repair search calls it only on its count path (the balanced
+	// objective, a MaxEvaluated budget or a MaxGoodness filter), which reads
+	// inexact children's measures; its default path asks Witness instead.
 	ChildCount(x bitset.Set, parent *Partition, attr int) int
 }
 

@@ -147,11 +147,12 @@ func (p *Partition) emitDense(q *Partition, d int, s *productScratch, out *Parti
 
 // ProductCount returns |π_{X∪Q}| — NumClasses of p.Product(q) — without
 // materialising the product: no arena, no offsets, no bitmaps are written.
-// Candidate scoring (confidence, goodness, g₃) needs only this number, so the
-// repair search materialises a child partition only when the node is actually
-// expanded. For all-dense operands the count is pure AND + popcount and
-// allocates nothing; scratch (nil for pooled) is only touched when q has
-// sparse classes.
+// Candidate scoring that reads inexact measures (confidence, goodness, g₃)
+// needs only this number: it is the repair search's count path, through
+// ChildCount, under the balanced objective, a budget or MaxGoodness. The
+// default search asks Witness instead. For all-dense operands the count is
+// pure AND + popcount and allocates nothing; scratch (nil for pooled) is
+// only touched when q has sparse classes.
 func (p *Partition) ProductCount(q *Partition, scratch *productScratch) int {
 	nq := q.NumStrippedClasses()
 	if nq == 0 || p.NumStrippedClasses() == 0 {
