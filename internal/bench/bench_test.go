@@ -112,17 +112,34 @@ func TestTable2And3Output(t *testing.T) {
 	}
 }
 
+// figure2Golden is the whole figure2 output, pinned byte for byte.
+const figure2Golden = `(a) F1: [District, Region] → [AreaCode]
+  District=Brookside, Region=Granville {t1,t2,t3,t4,t5}         ⇒  ✗ splits over AreaCode=613 | AreaCode=515
+  District=Alexandria, Region=Moore Park {t6,t7,t8,t9,t10,t11}  ⇒  ✗ splits over AreaCode=415 | AreaCode=517
+  ⇒ no function between clusterings: FD violated
+
+(b) F′: [District, Region, Municipal] → [AreaCode]
+  District=Brookside, Region=Granville, Municipal=Glendale {t1,t2,t3}       ⇒  AreaCode=613 {t1,t2,t3}
+  District=Brookside, Region=Granville, Municipal=Guildwood {t4,t5}         ⇒  AreaCode=515 {t4,t5}
+  District=Alexandria, Region=Moore Park, Municipal=NapaHill {t6,t7,t8}     ⇒  AreaCode=415 {t6,t7,t8}
+  District=Alexandria, Region=Moore Park, Municipal=QueenAnne {t9,t10,t11}  ⇒  AreaCode=517 {t9,t10,t11}
+  ⇒ well-defined (bijective) function between clusterings
+
+(c) F″: [District, Region, PhNo] → [AreaCode]
+  District=Brookside, Region=Granville, PhNo=974-2345 {t1,t2}         ⇒  AreaCode=613 {t1,t2,t3}
+  District=Brookside, Region=Granville, PhNo=299-1010 {t3}            ⇒  AreaCode=613 {t1,t2,t3}
+  District=Brookside, Region=Granville, PhNo=220-1200 {t4,t5}         ⇒  AreaCode=515 {t4,t5}
+  District=Alexandria, Region=Moore Park, PhNo=220-1200 {t6}          ⇒  AreaCode=415 {t6,t7,t8}
+  District=Alexandria, Region=Moore Park, PhNo=930-2525 {t7}          ⇒  AreaCode=415 {t6,t7,t8}
+  District=Alexandria, Region=Moore Park, PhNo=555-1234 {t8}          ⇒  AreaCode=415 {t6,t7,t8}
+  District=Alexandria, Region=Moore Park, PhNo=888-5152 {t9,t10,t11}  ⇒  AreaCode=517 {t9,t10,t11}
+  ⇒ function exists but is not bijective (not complete)
+
+`
+
 func TestFigure2Output(t *testing.T) {
-	out := runExperiment(t, "figure2")
-	for _, want := range []string{
-		"(a) F1", "(b) F′", "(c) F″",
-		"no function between clusterings",
-		"well-defined (bijective) function",
-		"not bijective",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("figure2 output missing %q\n%s", want, out)
-		}
+	if out := runExperiment(t, "figure2"); out != figure2Golden {
+		t.Errorf("figure2 output drifted from the golden:\n%s", out)
 	}
 }
 
@@ -248,8 +265,37 @@ func TestTheorem1Output(t *testing.T) {
 
 func TestCBvsEBOutput(t *testing.T) {
 	out := runExperiment(t, "cb-vs-eb")
-	if !strings.Contains(out, "CB best") || !strings.Contains(out, "true") {
-		t.Errorf("cb-vs-eb output wrong:\n%s", out)
+	want := `top-ranked repair attribute per method (Places)
+FD  CB best    EB best    agree
+--  ---------  ---------  -----
+F1  Municipal  Municipal  true
+F4  Street     Street     true
+`
+	if !strings.HasPrefix(out, want) {
+		t.Errorf("cb-vs-eb agreement table drifted:\n%s", out)
+	}
+}
+
+// TestTheorem1TableAtDefaultSeed pins theorem1's null-set table at the
+// default scale and seed, so a change to how ε_CB or ε_VI is computed cannot
+// move a single sample between rows unnoticed.
+func TestTheorem1TableAtDefaultSeed(t *testing.T) {
+	e, _ := Lookup("theorem1")
+	var buf bytes.Buffer
+	if err := e.Run(Config{}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	want := `null-set agreement over 2000 random (FD, extension) samples
+case                                                       count
+---------------------------------------------------------  -----
+ε_CB = 0 ∧ ε_VI = 0 (agree)                                   69
+ε_CB > 0 ∧ ε_VI > 0 (agree)                                 1340
+ε_CB > 0 ∧ ε_VI = 0 (converse of Theorem 1 FAILS)             77
+ε_CB = 0 ∧ ε_VI > 0 (would falsify the forward direction)      0
+corrected VI(C_XZ, C_Y) disagreeing with ε_CB                  0
+`
+	if out := buf.String(); !strings.HasPrefix(out, want) {
+		t.Errorf("theorem1 table drifted:\n%s", out)
 	}
 }
 
