@@ -14,7 +14,6 @@ import (
 	"github.com/evolvefd/evolvefd/internal/bench"
 	"github.com/evolvefd/evolvefd/internal/core"
 	"github.com/evolvefd/evolvefd/internal/datasets"
-	"github.com/evolvefd/evolvefd/internal/entropy"
 	"github.com/evolvefd/evolvefd/internal/pli"
 	"github.com/evolvefd/evolvefd/internal/query"
 	"github.com/evolvefd/evolvefd/internal/tpch"
@@ -186,24 +185,6 @@ func BenchmarkAblationFirstVsAll(b *testing.B) {
 // BenchmarkAblationObjective prices minimal-first vs the §4.4 balanced
 // objective on the UNIQUE-vs-pair scenario.
 func BenchmarkAblationObjective(b *testing.B) { runRegistered(b, "ablation-objective") }
-
-// BenchmarkEBGreedyRepair prices the entropy-based baseline on the same F4
-// workload CB handles in BenchmarkTable2CandidateRanking.
-func BenchmarkEBGreedyRepair(b *testing.B) {
-	r := datasets.Places()
-	x, err := r.Schema().IndexSet("District")
-	if err != nil {
-		b.Fatal(err)
-	}
-	y, err := r.Schema().IndexSet("PhNo")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = entropy.GreedyRepair(r, x, y, 0)
-	}
-}
 
 // BenchmarkTPCHLineitemGenerate prices the heaviest generator in isolation.
 func BenchmarkTPCHLineitemGenerate(b *testing.B) {

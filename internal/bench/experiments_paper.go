@@ -4,10 +4,14 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/evolvefd/evolvefd/internal/cluster"
+	"slices"
+	"strings"
+
+	"github.com/evolvefd/evolvefd/internal/bitset"
 	"github.com/evolvefd/evolvefd/internal/core"
 	"github.com/evolvefd/evolvefd/internal/datasets"
 	"github.com/evolvefd/evolvefd/internal/pli"
+	"github.com/evolvefd/evolvefd/internal/relation"
 	"github.com/evolvefd/evolvefd/internal/texttable"
 )
 
@@ -162,29 +166,118 @@ func runRunningExample(cfg Config, w io.Writer) error {
 // form.
 func runFigure2(cfg Config, w io.Writer) error {
 	r := datasets.Places()
-	mk := func(names ...string) cluster.Clustering {
+	counter := pli.NewPLICounter(r)
+	mk := func(names ...string) clustering {
 		set, err := r.Schema().IndexSet(names...)
 		if err != nil {
 			panic(err)
 		}
-		return *cluster.New(r, set)
+		return clusteringOf(r, counter, set)
 	}
 	y := mk("AreaCode")
 	sections := []struct {
 		title string
-		x     cluster.Clustering
+		x     clustering
 	}{
 		{"(a) F1: [District, Region] → [AreaCode]", mk("District", "Region")},
 		{"(b) F′: [District, Region, Municipal] → [AreaCode]", mk("District", "Region", "Municipal")},
 		{"(c) F″: [District, Region, PhNo] → [AreaCode]", mk("District", "Region", "PhNo")},
 	}
 	for _, s := range sections {
-		if _, err := io.WriteString(w, cluster.RenderAssociation(s.title, &s.x, &y)); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
+		if _, err := io.WriteString(w, renderAssociation(s.title, s.x, y)+"\n"); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// clustering is the X-clustering C_X of Definition 5 as Figure 2 draws it:
+// every class listed, singletons included, numbered by first occurrence and
+// labelled by the values its rows share.
+type clustering struct {
+	labels  []string
+	rows    [][]int
+	classOf []int // class of each live row
+}
+
+// clusteringOf lists the classes of the counter's partition of x, grouping
+// live rows by the partition's row labels.
+func clusteringOf(r *relation.Relation, c pli.SearchCounter, x bitset.Set) clustering {
+	ids := c.Partition(x).RowLabels()
+	cl := clustering{classOf: make([]int, r.NumRows())}
+	index := make(map[int32]int)
+	for row := range cl.classOf {
+		if r.IsDeleted(row) {
+			continue
+		}
+		ci, ok := index[ids[row]]
+		if !ok {
+			ci = len(cl.rows)
+			index[ids[row]] = ci
+			var parts []string
+			for _, col := range x.Members() {
+				text := r.Value(row, col).String()
+				if r.Value(row, col).IsNull() {
+					text = "NULL"
+				}
+				parts = append(parts, r.Schema().Column(col).Name+"="+text)
+			}
+			cl.labels = append(cl.labels, strings.Join(parts, ", "))
+			cl.rows = append(cl.rows, nil)
+		}
+		cl.rows[ci] = append(cl.rows[ci], row)
+		cl.classOf[row] = ci
+	}
+	return cl
+}
+
+// renderAssociation renders two clusterings side by side with the
+// association between their classes (Definition 6). Rows are labelled t1,
+// t2, … (1-based, like the running example). For each class of x the one
+// class of y containing it is shown, or "✗ splits over" the y classes it
+// spreads across — the correspondence is not a function there.
+func renderAssociation(title string, x, y clustering) string {
+	var b strings.Builder
+	b.WriteString(title + "\n")
+	lefts, width := make([]string, len(x.rows)), 0
+	for ci, rows := range x.rows {
+		lefts[ci] = x.labels[ci] + " " + rowsLabel(rows)
+		width = max(width, len(lefts[ci]))
+	}
+	function := true
+	for ci, rows := range x.rows {
+		targets := make([]int, len(rows))
+		for i, row := range rows {
+			targets[i] = y.classOf[row]
+		}
+		slices.Sort(targets)
+		if targets = slices.Compact(targets); len(targets) == 1 {
+			t := targets[0]
+			fmt.Fprintf(&b, "  %-*s  ⇒  %s %s\n", width, lefts[ci], y.labels[t], rowsLabel(y.rows[t]))
+			continue
+		}
+		function = false
+		names := make([]string, len(targets))
+		for i, t := range targets {
+			names[i] = y.labels[t]
+		}
+		fmt.Fprintf(&b, "  %-*s  ⇒  ✗ splits over %s\n", width, lefts[ci], strings.Join(names, " | "))
+	}
+	switch {
+	case function && len(x.rows) == len(y.rows):
+		b.WriteString("  ⇒ well-defined (bijective) function between clusterings\n")
+	case function:
+		b.WriteString("  ⇒ function exists but is not bijective (not complete)\n")
+	default:
+		b.WriteString("  ⇒ no function between clusterings: FD violated\n")
+	}
+	return b.String()
+}
+
+func rowsLabel(rows []int) string {
+	parts := make([]string, len(rows))
+	for i, r := range rows {
+		parts[i] = fmt.Sprintf("t%d", r+1)
+	}
+	return "{" + strings.Join(parts, ",") + "}"
 }

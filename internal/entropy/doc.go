@@ -5,6 +5,13 @@
 // it, and the ε_VI measure whose equivalence with the confidence-based
 // ε_CB is Theorem 1.
 //
+// Every quantity is a difference of partition entropies, H(π) computed
+// from the class sizes of the same pli partitions the CB measures count, so
+// the two methods are compared on one data structure. The finer partition
+// of each difference refines the coarser one, so a difference is zero
+// exactly when the two class counts are equal, and is reported as exactly 0
+// then.
+//
 // The original CONDOR tool was unavailable to the paper's authors ("an
 // experimental comparison … was unfortunately impossible"), so this package
 // is built strictly from the specification in §5; together with

@@ -1,11 +1,11 @@
 package entropy
 
 import (
+	"math"
 	"sort"
 
 	"github.com/evolvefd/evolvefd/internal/bitset"
-	"github.com/evolvefd/evolvefd/internal/cluster"
-	"github.com/evolvefd/evolvefd/internal/relation"
+	"github.com/evolvefd/evolvefd/internal/pli"
 )
 
 // Candidate is one attribute A evaluated by the EB method as an extension of
@@ -21,7 +21,7 @@ type Candidate struct {
 	Completeness float64
 	// VI is the symmetric variation of information VI(C_XY, C_XA), the
 	// "slight variation … based on the original definition" used for the
-	// ε_VI measure.
+	// ε_VI measure. It equals Homogeneity + Completeness.
 	VI float64
 }
 
@@ -29,34 +29,30 @@ type Candidate struct {
 // (homogeneity entropy zero).
 func (c Candidate) Exact() bool { return c.Homogeneity == 0 }
 
-// ExtendByOne evaluates every attribute of r outside XY (and NULL-free,
-// matching the CB method's candidate pool) with the EB ranking of §5: the
-// ground truth is the clustering C_XY; candidates are ordered by ascending
-// H(C_XY|C_XA), ties by ascending H(C_A|C_XY), final deterministic tie-break
-// on schema position.
-func ExtendByOne(r *relation.Relation, x, y bitset.Set) []Candidate {
-	groundTruth := cluster.New(r, x.Union(y))
-	attrs := x.Union(y)
+// ExtendByOne evaluates every attribute of the counter's relation outside XY
+// (and NULL-free, matching the CB method's candidate pool) with the EB
+// ranking of §5: the ground truth is the clustering C_XY; candidates are
+// ordered by ascending H(C_XY|C_XA), ties by ascending H(C_A|C_XY), final
+// deterministic tie-break on schema position. Keys within 1e-9 bits of each
+// other are ties.
+func ExtendByOne(c pli.SearchCounter, x, y bitset.Set) []Candidate {
+	r := c.Relation()
+	xy := x.Union(y)
 	var out []Candidate
 	for col := 0; col < r.NumCols(); col++ {
-		if attrs.Contains(col) || r.HasNulls(col) {
+		if xy.Contains(col) || r.HasNulls(col) {
 			continue
 		}
-		cxa := cluster.New(r, x.With(col))
-		ca := cluster.New(r, bitset.New(col))
-		out = append(out, Candidate{
-			Attr:         col,
-			Homogeneity:  ConditionalEntropy(groundTruth, cxa),
-			Completeness: ConditionalEntropy(ca, groundTruth),
-			VI:           VariationOfInformation(groundTruth, cxa),
-		})
+		hom := ConditionalEntropy(c, xy, x.With(col))
+		comp := ConditionalEntropy(c, bitset.New(col), xy)
+		out = append(out, Candidate{Attr: col, Homogeneity: hom, Completeness: comp, VI: hom + comp})
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		a, b := out[i], out[j]
-		if a.Homogeneity != b.Homogeneity {
+		if math.Abs(a.Homogeneity-b.Homogeneity) > tie {
 			return a.Homogeneity < b.Homogeneity
 		}
-		if a.Completeness != b.Completeness {
+		if math.Abs(a.Completeness-b.Completeness) > tie {
 			return a.Completeness < b.Completeness
 		}
 		return a.Attr < b.Attr
@@ -64,50 +60,8 @@ func ExtendByOne(r *relation.Relation, x, y bitset.Set) []Candidate {
 	return out
 }
 
-// Repair is the result of the EB greedy repair loop.
-type Repair struct {
-	// Added lists the attributes appended to the antecedent, in order.
-	Added []int
-	// Exact is true when the final extended FD is exact.
-	Exact bool
-	// Steps counts candidate evaluations performed.
-	Steps int
-}
-
-// GreedyRepair extends X one attribute at a time using the EB ranking until
-// the FD becomes exact, no candidates remain, or maxAdded attributes have
-// been added (0 means no bound). Chiang & Miller's model extends by a single
-// attribute; the greedy loop is the natural iteration of it and mirrors the
-// CB method's §4.3 process, which makes the two methods comparable on
-// multi-attribute repairs.
-func GreedyRepair(r *relation.Relation, x, y bitset.Set, maxAdded int) Repair {
-	var rep Repair
-	cur := x.Clone()
-	for {
-		if r.SatisfiesFD(cur, y) {
-			rep.Exact = true
-			return rep
-		}
-		if maxAdded > 0 && len(rep.Added) >= maxAdded {
-			return rep
-		}
-		cands := ExtendByOne(r, cur, y)
-		rep.Steps += len(cands)
-		if len(cands) == 0 {
-			return rep
-		}
-		best := cands[0]
-		cur.Add(best.Attr)
-		rep.Added = append(rep.Added, best.Attr)
-		if best.Exact() {
-			rep.Exact = true
-			return rep
-		}
-	}
-}
-
 // EpsilonVI returns ε_VI for a dependency X → Y in its general form as
-// printed in §5: VI(C_XY, C_Y).
+// printed in §5: VI(C_XY, C_Y) = H(π_XY) − H(π_Y).
 //
 // Reproduction finding (see EXPERIMENTS.md): Theorem 1 claims ε_VI and ε_CB
 // are equivalent (same null sets). Only one direction holds: ε_CB = 0
@@ -118,32 +72,26 @@ func GreedyRepair(r *relation.Relation, x, y bitset.Set, maxAdded int) Repair {
 // "∀y ∃!(x,z)" silently assumes the functional direction it is trying to
 // establish. EpsilonVIEquivalent is the corrected form for which the
 // theorem's statement does hold.
-func EpsilonVI(r *relation.Relation, x, y bitset.Set) float64 {
-	cxy := cluster.New(r, x.Union(y))
-	cy := cluster.New(r, y)
-	return VariationOfInformation(cxy, cy)
+func EpsilonVI(c pli.SearchCounter, x, y bitset.Set) float64 {
+	return VariationOfInformation(c, x.Union(y), y)
 }
 
 // EpsilonVIExtension returns ε_VI for an extension FZ : XZ → Y of F : X → Y
-// as printed in Theorem 1: VI(C_XY, C_XZ). The same one-directional caveat
-// as EpsilonVI applies: ε_CB(FZ) = 0 forces this to zero, but
-// VI(C_XY, C_XZ) = 0 only forces exactness, not goodness 0 (the gap is
-// g = |C_XY| − |C_Y|, which vanishes only when Y determines X).
-func EpsilonVIExtension(r *relation.Relation, x, y, z bitset.Set) float64 {
-	cxy := cluster.New(r, x.Union(y))
-	cxz := cluster.New(r, x.Union(z))
-	return VariationOfInformation(cxy, cxz)
+// as printed in Theorem 1: VI(C_XY, C_XZ) = 2H(π_XYZ) − H(π_XY) − H(π_XZ).
+// The same one-directional caveat as EpsilonVI applies: ε_CB(FZ) = 0 forces
+// this to zero, but VI(C_XY, C_XZ) = 0 only forces exactness, not goodness 0
+// (the gap is g = |C_XY| − |C_Y|, which vanishes only when Y determines X).
+func EpsilonVIExtension(c pli.SearchCounter, x, y, z bitset.Set) float64 {
+	return VariationOfInformation(c, x.Union(y), x.Union(z))
 }
 
-// EpsilonVIEquivalent returns VI(C_XZ, C_Y), the corrected entropy measure
-// that is genuinely equivalent to ε_CB(FZ) for FZ : XZ → Y (pass an empty z
-// for F itself):
+// EpsilonVIEquivalent returns VI(C_XZ, C_Y) = 2H(π_XYZ) − H(π_XZ) − H(π_Y),
+// the corrected entropy measure that is genuinely equivalent to ε_CB(FZ)
+// for FZ : XZ → Y (pass an empty z for F itself):
 //
 //	VI(C_XZ, C_Y) = 0 ⟺ C_XZ = C_Y ⟺ exact ∧ goodness = 0 ⟺ ε_CB = 0.
 //
 // Both directions are machine-checked in the property tests.
-func EpsilonVIEquivalent(r *relation.Relation, x, y, z bitset.Set) float64 {
-	cxz := cluster.New(r, x.Union(z))
-	cy := cluster.New(r, y)
-	return VariationOfInformation(cxz, cy)
+func EpsilonVIEquivalent(c pli.SearchCounter, x, y, z bitset.Set) float64 {
+	return VariationOfInformation(c, x.Union(z), y)
 }

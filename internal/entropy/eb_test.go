@@ -18,7 +18,7 @@ func TestEBExtendByOneOnPlacesF1(t *testing.T) {
 	x, _ := r.Schema().IndexSet("District", "Region")
 	y, _ := r.Schema().IndexSet("AreaCode")
 
-	cands := ExtendByOne(r, x, y)
+	cands := ExtendByOne(pli.NewPLICounter(r), x, y)
 	if len(cands) != 6 {
 		t.Fatalf("candidates = %d, want 6", len(cands))
 	}
@@ -61,7 +61,7 @@ func TestEBAgreesWithCBOnPlaces(t *testing.T) {
 			t.Fatal(err)
 		}
 		cb := core.ExtendByOne(counter, fd, core.CandidateOptions{})
-		eb := ExtendByOne(r, fd.X, fd.Y)
+		eb := ExtendByOne(counter, fd.X, fd.Y)
 		if cb[0].Attr != eb[0].Attr {
 			t.Fatalf("%s: CB best %d ≠ EB best %d", spec.lhs,
 				cb[0].Attr, eb[0].Attr)
@@ -76,57 +76,6 @@ func TestEBAgreesWithCBOnPlaces(t *testing.T) {
 				t.Fatalf("attr %d: CB exact=%v, EB exact=%v", c.Attr, cbExact[c.Attr], c.Exact())
 			}
 		}
-	}
-}
-
-func TestGreedyRepairOnPlacesF4(t *testing.T) {
-	// F4 needs two attributes; the EB greedy loop must reach an exact FD.
-	r := datasets.Places()
-	x, _ := r.Schema().IndexSet("District")
-	y, _ := r.Schema().IndexSet("PhNo")
-	rep := GreedyRepair(r, x, y, 0)
-	if !rep.Exact {
-		t.Fatal("EB greedy must repair F4")
-	}
-	if len(rep.Added) != 2 {
-		t.Fatalf("EB greedy added %d attrs, want 2", len(rep.Added))
-	}
-	if rep.Steps == 0 {
-		t.Fatal("steps not counted")
-	}
-}
-
-func TestGreedyRepairAlreadyExact(t *testing.T) {
-	r := datasets.Places()
-	x, _ := r.Schema().IndexSet("District", "Region", "Municipal")
-	y, _ := r.Schema().IndexSet("AreaCode")
-	rep := GreedyRepair(r, x, y, 0)
-	if !rep.Exact || len(rep.Added) != 0 || rep.Steps != 0 {
-		t.Fatalf("exact FD should need no work: %+v", rep)
-	}
-}
-
-func TestGreedyRepairRespectsMaxAdded(t *testing.T) {
-	r := datasets.Places()
-	x, _ := r.Schema().IndexSet("District")
-	y, _ := r.Schema().IndexSet("PhNo")
-	rep := GreedyRepair(r, x, y, 1)
-	if rep.Exact {
-		t.Fatal("one attribute cannot repair F4")
-	}
-	if len(rep.Added) != 1 {
-		t.Fatalf("added = %d, want 1 (bound)", len(rep.Added))
-	}
-}
-
-func TestGreedyRepairUnrepairable(t *testing.T) {
-	// F3 on Places is unrepairable (t10/t11 differ only in Street).
-	r := datasets.Places()
-	x, _ := r.Schema().IndexSet("PhNo", "Zip")
-	y, _ := r.Schema().IndexSet("Street")
-	rep := GreedyRepair(r, x, y, 0)
-	if rep.Exact {
-		t.Fatal("F3 must be unrepairable")
 	}
 }
 
@@ -149,7 +98,7 @@ func TestQuickTheorem1OneDirection(t *testing.T) {
 		}
 		if core.Compute(counter, fd).EpsilonCB() == 0 {
 			zeros++
-			if eVI := EpsilonVI(r, x, y); eVI > 1e-12 {
+			if eVI := EpsilonVI(counter, x, y); eVI > 1e-12 {
 				t.Fatalf("iter %d: ε_CB=0 but ε_VI=%v", iter, eVI)
 			}
 		}
@@ -165,7 +114,7 @@ func TestQuickTheorem1OneDirection(t *testing.T) {
 		fz := fd.WithExtendedAntecedent(z)
 		if core.Compute(counter, fz).EpsilonCB() == 0 {
 			zeros++
-			if eVIz := EpsilonVIExtension(r, x, y, z); eVIz > 1e-12 {
+			if eVIz := EpsilonVIExtension(counter, x, y, z); eVIz > 1e-12 {
 				t.Fatalf("iter %d: extension: ε_CB=0 but ε_VI=%v", iter, eVIz)
 			}
 		}
@@ -196,11 +145,11 @@ func TestTheorem1ConverseCounterexample(t *testing.T) {
 	if eCB := m.EpsilonCB(); eCB <= 0 {
 		t.Fatalf("ε_CB = %v, want > 0", eCB)
 	}
-	if eVI := EpsilonVI(r, x, y); eVI != 0 {
+	if eVI := EpsilonVI(counter, x, y); eVI != 0 {
 		t.Fatalf("ε_VI = %v, want 0 (C_XY = C_Y here)", eVI)
 	}
 	// The corrected measure detects the violation.
-	if eFix := EpsilonVIEquivalent(r, x, y, bitset.Set{}); eFix <= 0 {
+	if eFix := EpsilonVIEquivalent(counter, x, y, bitset.Set{}); eFix <= 0 {
 		t.Fatalf("corrected ε_VI = %v, want > 0", eFix)
 	}
 }
@@ -233,7 +182,7 @@ func TestQuickTheorem1CorrectedEquivalence(t *testing.T) {
 			fz = fd.WithExtendedAntecedent(z)
 		}
 		eCB := core.Compute(counter, fz).EpsilonCB()
-		eFix := EpsilonVIEquivalent(r, x, y, z)
+		eFix := EpsilonVIEquivalent(counter, x, y, z)
 		if (eCB == 0) != (eFix < 1e-12) {
 			t.Fatalf("iter %d: ε_CB=%v but corrected ε_VI=%v (x=%v y=%v z=%v)",
 				iter, eCB, eFix, x, y, z)
@@ -256,7 +205,7 @@ func TestQuickHomogeneityEntropyMatchesExactness(t *testing.T) {
 	for iter := 0; iter < 100; iter++ {
 		r := randomRelation(rng, 2+rng.Intn(20), 3, 2+rng.Intn(3))
 		x, y := bitset.New(0), bitset.New(1)
-		cands := ExtendByOne(r, x, y)
+		cands := ExtendByOne(pli.NewPLICounter(r), x, y)
 		for _, c := range cands {
 			exact := r.SatisfiesFD(x.With(c.Attr), y)
 			if c.Exact() != exact {
@@ -280,7 +229,7 @@ func TestQuickEBAndCBAgreeOnExactCandidates(t *testing.T) {
 			t.Fatal(err)
 		}
 		cb := core.ExtendByOne(counter, fd, core.CandidateOptions{})
-		eb := ExtendByOne(r, fd.X, fd.Y)
+		eb := ExtendByOne(counter, fd.X, fd.Y)
 		cbExact := map[int]bool{}
 		for _, c := range cb {
 			cbExact[c.Attr] = c.Measures.Exact()
@@ -298,15 +247,16 @@ func TestEpsilonVIZeroCases(t *testing.T) {
 	r := datasets.Places()
 	x, _ := r.Schema().IndexSet("District", "Region", "Municipal")
 	y, _ := r.Schema().IndexSet("AreaCode")
-	if got := EpsilonVI(r, x, y); got != 0 {
+	counter := pli.NewPLICounter(r)
+	if got := EpsilonVI(counter, x, y); got != 0 {
 		t.Fatalf("ε_VI(F1+Municipal) = %v, want 0", got)
 	}
 	// F1+PhNo is exact but goodness 3 → ε_VI > 0.
 	x2, _ := r.Schema().IndexSet("District", "Region", "PhNo")
-	if got := EpsilonVI(r, x2, y); got <= 0 {
+	if got := EpsilonVI(counter, x2, y); got <= 0 {
 		t.Fatalf("ε_VI(F1+PhNo) = %v, want > 0", got)
 	}
-	if math.IsNaN(EpsilonVI(r, x2, y)) {
+	if math.IsNaN(EpsilonVI(counter, x2, y)) {
 		t.Fatal("ε_VI must not be NaN")
 	}
 }

@@ -2,63 +2,55 @@ package entropy
 
 import (
 	"math"
+	"slices"
 
-	"github.com/evolvefd/evolvefd/internal/cluster"
+	"github.com/evolvefd/evolvefd/internal/bitset"
+	"github.com/evolvefd/evolvefd/internal/pli"
 )
 
-// Entropy returns H(C) = −Σ_k P(k)·log₂ P(k), the Shannon entropy of the
-// clustering's class-size distribution in bits.
-func Entropy(c *cluster.Clustering) float64 {
-	n := float64(c.NumRows())
+// tie is the distance in bits below which two EB sort keys count as equal:
+// keys that are mathematically equal but summed over different partitions
+// may differ in their last bits.
+const tie = 1e-9
+
+// entropyOf returns H(π) = −Σ_k P(k)·log₂ P(k) in bits, computed as
+// log₂ n − Σ|c|·log₂|c| / n over the stored classes (singletons add
+// nothing). Class sizes are summed in ascending order, so the result does
+// not depend on the order the partition stores its classes in.
+func entropyOf(p *pli.Partition) float64 {
+	n := p.NumRows()
 	if n == 0 {
 		return 0
 	}
-	h := 0.0
-	for _, class := range c.Classes() {
-		p := float64(class.Size()) / n
-		h -= p * math.Log2(p)
+	var sizes []int
+	p.ForEachClass(func(members []int32) bool {
+		sizes = append(sizes, len(members))
+		return true
+	})
+	slices.Sort(sizes)
+	sum := 0.0
+	for _, s := range sizes {
+		sum += float64(s) * math.Log2(float64(s))
 	}
-	return h
+	return math.Log2(float64(n)) - sum/float64(n)
 }
 
-// ConditionalEntropy returns H(C|C′) = −Σ_{k,k′} P(k,k′)·log₂ P(k|k′):
-// the remaining uncertainty about C's class once C′'s class is known. It is
-// zero exactly when C′ refines C (every class of C′ inside one class of C).
-func ConditionalEntropy(c, given *cluster.Clustering) float64 {
-	n := float64(c.NumRows())
-	if n == 0 {
+// ConditionalEntropy returns H(C_X | C_G) = H(π_XG) − H(π_G): the remaining
+// uncertainty about a tuple's X-class once its G-class is known. π_XG
+// refines π_G, so the two are equal exactly when they have as many classes;
+// the result is then exactly 0, decided by the counts rather than by float
+// rounding. It is zero exactly when G → X holds.
+func ConditionalEntropy(c pli.SearchCounter, x, given bitset.Set) float64 {
+	joint, cond := c.Partition(x.Union(given)), c.Partition(given)
+	if joint.NumClasses() == cond.NumClasses() {
 		return 0
 	}
-	joint := c.JointCounts(given)
-	marginal := make(map[int]float64, given.NumClasses())
-	for key, cnt := range joint {
-		marginal[key[1]] += float64(cnt)
-	}
-	h := 0.0
-	for key, cnt := range joint {
-		pJoint := float64(cnt) / n
-		pCond := float64(cnt) / marginal[key[1]]
-		h -= pJoint * math.Log2(pCond)
-	}
-	// Clamp the tiny negative residue floating-point summation can leave.
-	if h < 0 && h > -1e-12 {
-		h = 0
-	}
-	return h
+	return entropyOf(joint) - entropyOf(cond)
 }
 
-// VariationOfInformation returns VI(C, C′) = H(C|C′) + H(C′|C), the
+// VariationOfInformation returns VI(C_A, C_B) = H(C_A|C_B) + H(C_B|C_A), the
 // clustering metric of [19]. It is symmetric, non-negative, satisfies the
 // triangle inequality, and is zero exactly when the clusterings are equal.
-func VariationOfInformation(a, b *cluster.Clustering) float64 {
-	return ConditionalEntropy(a, b) + ConditionalEntropy(b, a)
-}
-
-// MutualInformation returns I(C; C′) = H(C) − H(C|C′) ≥ 0.
-func MutualInformation(a, b *cluster.Clustering) float64 {
-	mi := Entropy(a) - ConditionalEntropy(a, b)
-	if mi < 0 && mi > -1e-12 {
-		mi = 0
-	}
-	return mi
+func VariationOfInformation(c pli.SearchCounter, a, b bitset.Set) float64 {
+	return ConditionalEntropy(c, a, b) + ConditionalEntropy(c, b, a)
 }

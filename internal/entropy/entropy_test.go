@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"github.com/evolvefd/evolvefd/internal/bitset"
-	"github.com/evolvefd/evolvefd/internal/cluster"
+	"github.com/evolvefd/evolvefd/internal/pli"
 	"github.com/evolvefd/evolvefd/internal/relation"
 )
 
@@ -45,18 +45,17 @@ func randomRelation(rng *rand.Rand, rows, cols, domain int) *relation.Relation {
 func TestEntropyBasics(t *testing.T) {
 	// Uniform 4-class clustering over 4 rows: H = log2(4) = 2 bits.
 	r := buildRelation(t, []string{"a"}, [][]string{{"1"}, {"2"}, {"3"}, {"4"}})
-	c := cluster.New(r, bitset.New(0))
-	if got := Entropy(c); math.Abs(got-2) > 1e-12 {
+	if got := entropyOf(pli.NewPLICounter(r).Partition(bitset.New(0))); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("H = %v, want 2", got)
 	}
 	// Single class: H = 0.
 	r1 := buildRelation(t, []string{"a"}, [][]string{{"x"}, {"x"}, {"x"}})
-	if got := Entropy(cluster.New(r1, bitset.New(0))); got != 0 {
+	if got := entropyOf(pli.NewPLICounter(r1).Partition(bitset.New(0))); got != 0 {
 		t.Fatalf("H single class = %v, want 0", got)
 	}
 	// Empty relation: H = 0.
 	schema, _ := relation.SchemaOf("a")
-	if got := Entropy(cluster.New(relation.New("e", schema), bitset.New(0))); got != 0 {
+	if got := entropyOf(pli.NewPLICounter(relation.New("e", schema)).Partition(bitset.New(0))); got != 0 {
 		t.Fatalf("H empty = %v, want 0", got)
 	}
 }
@@ -67,25 +66,30 @@ func TestConditionalEntropyZeroOnRefinement(t *testing.T) {
 	r := buildRelation(t, []string{"a", "b"}, [][]string{
 		{"x", "1"}, {"x", "2"}, {"y", "3"}, {"y", "3"},
 	})
-	ca := cluster.New(r, bitset.New(0))
-	cb := cluster.New(r, bitset.New(1))
-	if got := ConditionalEntropy(ca, cb); got != 0 {
+	c := pli.NewPLICounter(r)
+	a, b := bitset.New(0), bitset.New(1)
+	if got := ConditionalEntropy(c, a, b); got != 0 {
 		t.Fatalf("H(a|b) = %v, want 0", got)
 	}
-	if got := ConditionalEntropy(cb, ca); got <= 0 {
+	if got := ConditionalEntropy(c, b, a); got <= 0 {
 		t.Fatalf("H(b|a) = %v, want > 0", got)
 	}
 }
 
 func TestConditionalEntropySelfIsZero(t *testing.T) {
 	r := buildRelation(t, []string{"a"}, [][]string{{"1"}, {"2"}, {"1"}})
-	c := cluster.New(r, bitset.New(0))
-	if got := ConditionalEntropy(c, c); got != 0 {
+	c, a := pli.NewPLICounter(r), bitset.New(0)
+	if got := ConditionalEntropy(c, a, a); got != 0 {
 		t.Fatalf("H(C|C) = %v, want 0", got)
 	}
-	if got := VariationOfInformation(c, c); got != 0 {
+	if got := VariationOfInformation(c, a, a); got != 0 {
 		t.Fatalf("VI(C,C) = %v, want 0", got)
 	}
+}
+
+// mutualInformation returns I(C_A; C_B) = H(C_A) − H(C_A|C_B).
+func mutualInformation(c pli.SearchCounter, a, b bitset.Set) float64 {
+	return entropyOf(c.Partition(a)) - ConditionalEntropy(c, a, b)
 }
 
 func TestConditionalEntropyKnownValue(t *testing.T) {
@@ -94,15 +98,15 @@ func TestConditionalEntropyKnownValue(t *testing.T) {
 	r := buildRelation(t, []string{"a", "b"}, [][]string{
 		{"x", "p"}, {"x", "q"}, {"y", "p"}, {"y", "q"},
 	})
-	ca := cluster.New(r, bitset.New(0))
-	cb := cluster.New(r, bitset.New(1))
-	if got := ConditionalEntropy(ca, cb); math.Abs(got-1) > 1e-12 {
+	c := pli.NewPLICounter(r)
+	a, b := bitset.New(0), bitset.New(1)
+	if got := ConditionalEntropy(c, a, b); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("H(a|b) = %v, want 1", got)
 	}
-	if got := VariationOfInformation(ca, cb); math.Abs(got-2) > 1e-12 {
+	if got := VariationOfInformation(c, a, b); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("VI = %v, want 2", got)
 	}
-	if got := MutualInformation(ca, cb); got != 0 {
+	if got := mutualInformation(c, a, b); got != 0 {
 		t.Fatalf("I = %v, want 0 for independent clusterings", got)
 	}
 }
@@ -114,23 +118,24 @@ func TestQuickVIIsAMetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for iter := 0; iter < 80; iter++ {
 		r := randomRelation(rng, 2+rng.Intn(30), 3, 2+rng.Intn(4))
-		ca := cluster.New(r, bitset.New(0))
-		cb := cluster.New(r, bitset.New(1))
-		cc := cluster.New(r, bitset.New(2))
+		c := pli.NewPLICounter(r)
+		a, b, cc := bitset.New(0), bitset.New(1), bitset.New(2)
 
-		dab := VariationOfInformation(ca, cb)
-		dba := VariationOfInformation(cb, ca)
+		dab := VariationOfInformation(c, a, b)
+		dba := VariationOfInformation(c, b, a)
 		if math.Abs(dab-dba) > 1e-9 {
 			t.Fatalf("iter %d: VI not symmetric: %v vs %v", iter, dab, dba)
 		}
 		if dab < 0 {
 			t.Fatalf("iter %d: VI negative: %v", iter, dab)
 		}
-		if ca.Equal(cb) != (dab < 1e-9) {
-			t.Fatalf("iter %d: VI zero ⟺ equal violated (VI=%v, equal=%v)", iter, dab, ca.Equal(cb))
+		// C_a = C_b exactly when each attribute determines the other.
+		equal := r.SatisfiesFD(a, b) && r.SatisfiesFD(b, a)
+		if equal != (dab < 1e-9) {
+			t.Fatalf("iter %d: VI zero ⟺ equal violated (VI=%v, equal=%v)", iter, dab, equal)
 		}
-		dac := VariationOfInformation(ca, cc)
-		dcb := VariationOfInformation(cc, cb)
+		dac := VariationOfInformation(c, a, cc)
+		dcb := VariationOfInformation(c, cc, b)
 		if dab > dac+dcb+1e-9 {
 			t.Fatalf("iter %d: triangle inequality violated: %v > %v + %v", iter, dab, dac, dcb)
 		}
@@ -142,14 +147,14 @@ func TestQuickConditionalEntropyBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for iter := 0; iter < 80; iter++ {
 		r := randomRelation(rng, 2+rng.Intn(40), 2, 2+rng.Intn(5))
-		ca := cluster.New(r, bitset.New(0))
-		cb := cluster.New(r, bitset.New(1))
-		h := ConditionalEntropy(ca, cb)
+		c := pli.NewPLICounter(r)
+		a, b := bitset.New(0), bitset.New(1)
+		h := ConditionalEntropy(c, a, b)
 		if h < 0 {
 			t.Fatalf("iter %d: H(C|C') negative: %v", iter, h)
 		}
-		if h > Entropy(ca)+1e-9 {
-			t.Fatalf("iter %d: H(C|C')=%v exceeds H(C)=%v", iter, h, Entropy(ca))
+		if h > entropyOf(c.Partition(a))+1e-9 {
+			t.Fatalf("iter %d: H(C|C')=%v exceeds H(C)=%v", iter, h, entropyOf(c.Partition(a)))
 		}
 	}
 }
@@ -159,10 +164,24 @@ func TestQuickMutualInformationSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for iter := 0; iter < 60; iter++ {
 		r := randomRelation(rng, 2+rng.Intn(30), 2, 2+rng.Intn(4))
-		ca := cluster.New(r, bitset.New(0))
-		cb := cluster.New(r, bitset.New(1))
-		if math.Abs(MutualInformation(ca, cb)-MutualInformation(cb, ca)) > 1e-9 {
+		c := pli.NewPLICounter(r)
+		a, b := bitset.New(0), bitset.New(1)
+		if math.Abs(mutualInformation(c, a, b)-mutualInformation(c, b, a)) > 1e-9 {
 			t.Fatalf("iter %d: MI not symmetric", iter)
+		}
+	}
+}
+
+// TestQuickConditionalEntropyZeroMatchesFD: H(C_Y|C_X) = 0 ⟺ r ⊨ X→Y,
+// i.e. C_X is homogeneous w.r.t. C_Y exactly when the FD holds.
+func TestQuickConditionalEntropyZeroMatchesFD(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for iter := 0; iter < 100; iter++ {
+		r := randomRelation(rng, 1+rng.Intn(30), 2, 3)
+		x, y := bitset.New(0), bitset.New(1)
+		hom := ConditionalEntropy(pli.NewPLICounter(r), y, x) == 0
+		if sat := r.SatisfiesFD(x, y); hom != sat {
+			t.Fatalf("iter %d: homogeneous=%v but satisfies=%v", iter, hom, sat)
 		}
 	}
 }
